@@ -81,6 +81,23 @@ let admit host ~(profile : Descriptor.profile) ~profile_idx ~now ~work_of =
   done;
   domid
 
+let mark_exit host ~pcpu =
+  Machine.count host.machine
+    (Marker.exit ~hyp:host.prefix ~reason:Marker.Irq ~pcpu)
+
+(* A VCPU leaving the scheduler while it still holds a PCPU (a churn
+   departure) exits that PCPU first, so exits = entries per PCPU. *)
+let vacate host vcpu =
+  for pcpu = 0 to host.num_pcpus - 1 do
+    if Credit_sched.current host.sched ~pcpu = Some vcpu then mark_exit host ~pcpu
+  done
+
+(* The end of a scenario exits every VCPU still on a PCPU. *)
+let vacate_all host =
+  for pcpu = 0 to host.num_pcpus - 1 do
+    if Credit_sched.current host.sched ~pcpu <> None then mark_exit host ~pcpu
+  done
+
 (* One scheduling quantum across every PCPU. [service v ~pcpu ~now]
    executes the picked VCPU for at most one timeslice and returns the
    cycles to charge. World switches emit the same exit/entry marker
@@ -95,15 +112,10 @@ let dispatch host ~service =
   for pcpu = 0 to host.num_pcpus - 1 do
     let prev = Credit_sched.current host.sched ~pcpu in
     match Credit_sched.pick host.sched ~pcpu with
-    | None ->
-        if prev <> None then
-          Machine.count host.machine
-            (Marker.exit ~hyp:host.prefix ~reason:Marker.Irq ~pcpu)
+    | None -> if prev <> None then mark_exit host ~pcpu
     | Some v ->
         if prev <> Some v then begin
-          if prev <> None then
-            Machine.count host.machine
-              (Marker.exit ~hyp:host.prefix ~reason:Marker.Irq ~pcpu);
+          if prev <> None then mark_exit host ~pcpu;
           Machine.count host.machine
             (Marker.entry ~domid:v.Credit_sched.dom ~hyp:host.prefix ~pcpu ())
         end;
@@ -165,13 +177,14 @@ let boot_storm ?(seed = 42) ?(window_ms = 4.0) (hyp : Hypervisor.t) desc =
     incr ready
   in
   let service = slot_service host ~on_vm_done in
+  let profile_of = Descriptor.profile_of desc in
   Sim.spawn host.sim ~name:"fleet-boot-storm" (fun () ->
       let next = ref 0 in
       while !ready < vms do
         let now = Cycles.to_int (Sim.current_time ()) in
         while !next < vms && offsets.(!next) <= now do
           let i = !next in
-          let p = Descriptor.profile_of desc i in
+          let p = profile_of i in
           ignore
             (admit host ~profile:p ~profile_idx:i ~now ~work_of:(fun _ ->
                  p.Descriptor.boot_cycles));
@@ -183,7 +196,8 @@ let boot_storm ?(seed = 42) ?(window_ms = 4.0) (hyp : Hypervisor.t) desc =
         end
         else if !next < vms then
           Sim.delay (Cycles.of_int (offsets.(!next) - now))
-      done);
+      done;
+      vacate_all host);
   Sim.run host.sim;
   let summary = Summary.of_list !boot_ms in
   {
@@ -240,15 +254,18 @@ let churn ?(seed = 42) ?arrivals ?(horizon_ms = 24.0) (hyp : Hypervisor.t)
   let on_vm_done domid now_done =
     let slot = Pool.slot host.pool domid in
     for index = 0 to slot.Pool.vcpus - 1 do
-      Credit_sched.remove_vcpu host.sched { Credit_sched.dom = domid; index }
+      let vcpu = { Credit_sched.dom = domid; index } in
+      vacate host vcpu;
+      Credit_sched.remove_vcpu host.sched vcpu
     done;
     Pool.retire host.pool domid;
     if now_done > !done_at then done_at := now_done
   in
   let service = slot_service host ~on_vm_done in
+  let profile_of = Descriptor.profile_of desc in
   Sim.spawn host.sim ~name:"fleet-churn" (fun () ->
       let admit_one i now =
-        let p = Descriptor.profile_of desc i in
+        let p = profile_of i in
         ignore
           (admit host ~profile:p ~profile_idx:i ~now ~work_of:(fun _ ->
                lifetime p))
@@ -269,7 +286,8 @@ let churn ?(seed = 42) ?arrivals ?(horizon_ms = 24.0) (hyp : Hypervisor.t)
         end
         else if !next < arrivals then
           Sim.delay (Cycles.of_int (arrival_times.(!next) - now))
-      done);
+      done;
+      vacate_all host);
   Sim.run host.sim;
   {
     config = hyp.Hypervisor.name;
@@ -346,8 +364,9 @@ let noisy_neighbor ?(seed = 42) ?(requests = 400) ?(load = 0.3)
       ~work_of:(fun _ -> forever)
   in
   let victim = { Credit_sched.dom = victim_domid; index = 0 } in
+  let profile_of = Descriptor.profile_of desc in
   for i = 0 to vms - 2 do
-    let p = Descriptor.profile_of desc i in
+    let p = profile_of i in
     ignore
       (admit host ~profile:p ~profile_idx:i ~now:0 ~work_of:(fun _ -> forever))
   done;
@@ -358,7 +377,7 @@ let noisy_neighbor ?(seed = 42) ?(requests = 400) ?(load = 0.3)
   let total_aggr_vcpus =
     let n = ref 0 in
     for i = 0 to vms - 2 do
-      n := !n + (Descriptor.profile_of desc i).Descriptor.vcpus
+      n := !n + (profile_of i).Descriptor.vcpus
     done;
     !n
   in
@@ -413,7 +432,8 @@ let noisy_neighbor ?(seed = 42) ?(requests = 400) ?(load = 0.3)
         done;
         dispatch host ~service;
         Sim.delay (quantum host)
-      done);
+      done;
+      vacate_all host);
   Sim.run host.sim;
   let summary = Summary.of_list !latencies in
   {

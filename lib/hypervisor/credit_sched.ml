@@ -3,6 +3,8 @@ type vcpu = { dom : int; index : int }
 let default_weight = 256
 
 type vstate = {
+  id : vcpu;
+  picked : vcpu option; (* [Some id], built once: [pick]/[current] allocate nothing *)
   affinity : int;
   weight : int; (* proportional share, 256 = 1.0x *)
   cap : int; (* percent ceiling per refill interval; 0 = uncapped *)
@@ -12,12 +14,22 @@ type vstate = {
   mutable enqueued_at : int; (* FIFO tie-break among equal credits *)
 }
 
+(* One PCPU's runnable VCPUs — throttled ones included — kept sorted by
+   (dom, index). [better] is not transitive once caps are involved, so
+   [pick] must fold over candidates in exactly this order; keeping the
+   queue sorted makes that order free instead of a sort per pick. *)
+type runqueue = { mutable items : vstate array; mutable len : int }
+
 type t = {
   num_pcpus : int;
   timeslice : int;
   initial_credit : int;
   vcpus : (vcpu, vstate) Hashtbl.t;
-  running : vcpu option array;
+  runqueues : runqueue array;
+  idle : vstate; (* the idle context: [picked = None], never queued *)
+  running : vstate array; (* each PCPU's incumbent, or [idle] *)
+  mutable runnable_count : int;
+  mutable in_credit_count : int; (* runnable VCPUs with credit > 0 *)
   mutable stamp : int;
   mutable switch_count : int;
   mutable refill_count : int;
@@ -27,12 +39,29 @@ let create ~num_pcpus ~timeslice_cycles =
   if num_pcpus < 1 then invalid_arg "Credit_sched.create: num_pcpus < 1";
   if timeslice_cycles < 1 then
     invalid_arg "Credit_sched.create: non-positive timeslice";
+  let idle =
+    {
+      id = { dom = -1; index = -1 };
+      picked = None;
+      affinity = -1;
+      weight = default_weight;
+      cap = 0;
+      credit = 0;
+      runnable = false;
+      boosted = false;
+      enqueued_at = 0;
+    }
+  in
   {
     num_pcpus;
     timeslice = timeslice_cycles;
     initial_credit = 10 * timeslice_cycles;
     vcpus = Hashtbl.create 16;
-    running = Array.make num_pcpus None;
+    runqueues = Array.init num_pcpus (fun _ -> { items = [||]; len = 0 });
+    idle;
+    running = Array.make num_pcpus idle;
+    runnable_count = 0;
+    in_credit_count = 0;
     stamp = 0;
     switch_count = 0;
     refill_count = 0;
@@ -41,6 +70,42 @@ let create ~num_pcpus ~timeslice_cycles =
 let next_stamp t =
   t.stamp <- t.stamp + 1;
   t.stamp
+
+let compare_id (a : vcpu) (b : vcpu) =
+  match Int.compare a.dom b.dom with 0 -> Int.compare a.index b.index | c -> c
+
+(* First position in [rq] whose VCPU does not sort before [id]. *)
+let position rq id =
+  let lo = ref 0 and hi = ref rq.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_id rq.items.(mid).id id < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let enqueue rq s =
+  if rq.len = Array.length rq.items then begin
+    let grown = Array.make (Stdlib.max 8 (2 * rq.len)) s in
+    Array.blit rq.items 0 grown 0 rq.len;
+    rq.items <- grown
+  end;
+  let i = position rq s.id in
+  Array.blit rq.items i rq.items (i + 1) (rq.len - i);
+  rq.items.(i) <- s;
+  rq.len <- rq.len + 1
+
+let dequeue rq s =
+  let i = position rq s.id in
+  Array.blit rq.items (i + 1) rq.items i (rq.len - i - 1);
+  rq.len <- rq.len - 1
+
+(* Every write to [credit] goes through here so [in_credit_count] stays
+   exact and the exhaustion check in [charge] is O(1). *)
+let set_credit t s credit =
+  if s.runnable then
+    t.in_credit_count <-
+      t.in_credit_count + Bool.to_int (credit > 0) - Bool.to_int (s.credit > 0);
+  s.credit <- credit
 
 let add_vcpu ?(weight = default_weight) ?(cap = 0) t vcpu ~affinity =
   if affinity < 0 || affinity >= t.num_pcpus then
@@ -56,6 +121,8 @@ let add_vcpu ?(weight = default_weight) ?(cap = 0) t vcpu ~affinity =
   in
   Hashtbl.replace t.vcpus vcpu
     {
+      id = vcpu;
+      picked = Some vcpu;
       affinity;
       weight;
       cap;
@@ -70,10 +137,29 @@ let state t vcpu =
   | Some s -> s
   | None -> invalid_arg "Credit_sched: unknown VCPU"
 
+let is_running t s = t.running.(s.affinity) == s
+
+let set_runnable t vcpu runnable =
+  let s = state t vcpu in
+  if runnable <> s.runnable then begin
+    let delta = if runnable then 1 else -1 in
+    t.runnable_count <- t.runnable_count + delta;
+    if s.credit > 0 then t.in_credit_count <- t.in_credit_count + delta;
+    if runnable then begin
+      (* Wake-up boost: jumps the queue once, like Xen's BOOST. *)
+      s.boosted <- true;
+      s.enqueued_at <- next_stamp t;
+      enqueue t.runqueues.(s.affinity) s
+    end
+    else dequeue t.runqueues.(s.affinity) s;
+    s.runnable <- runnable
+  end
+
 let remove_vcpu t vcpu =
   let s = state t vcpu in
+  set_runnable t vcpu false;
   Hashtbl.remove t.vcpus vcpu;
-  if t.running.(s.affinity) = Some vcpu then t.running.(s.affinity) <- None
+  if is_running t s then t.running.(s.affinity) <- t.idle
 
 (* A capped VCPU that has burned through its credit is throttled until
    the next refill (Xen's CSCHED_PRI_IDLE under a cap): it stays
@@ -93,28 +179,7 @@ let ceiling t s =
   if s.cap = 0 then max_int
   else Stdlib.max 1 (t.initial_credit * s.cap / 100)
 
-let set_runnable t vcpu runnable =
-  let s = state t vcpu in
-  if runnable && not s.runnable then begin
-    (* Wake-up boost: jumps the queue once, like Xen's BOOST. *)
-    s.boosted <- true;
-    s.enqueued_at <- next_stamp t
-  end;
-  s.runnable <- runnable
-
-let candidates t ~pcpu =
-  Hashtbl.fold
-    (fun vcpu s acc ->
-      if s.runnable && s.affinity = pcpu && not (throttled s) then
-        (vcpu, s) :: acc
-      else acc)
-    t.vcpus []
-  |> List.sort (fun ((a : vcpu), _) ((b : vcpu), _) ->
-         match Int.compare a.dom b.dom with
-         | 0 -> Int.compare a.index b.index
-         | c -> c)
-
-let better (_, a) (_, b) =
+let better a b =
   (* Boosted first; then most credit; FIFO among equals. *)
   match (a.boosted, b.boosted) with
   | true, false -> true
@@ -130,44 +195,40 @@ let better (_, a) (_, b) =
       a.credit > b.credit
       || (a.credit = b.credit && a.enqueued_at < b.enqueued_at)
 
+let switch_to t ~pcpu next =
+  t.switch_count <- t.switch_count + 1;
+  t.running.(pcpu) <- next
+
 let pick t ~pcpu =
   if pcpu < 0 || pcpu >= t.num_pcpus then
     invalid_arg "Credit_sched.pick: pcpu out of range";
-  let chosen =
-    List.fold_left
-      (fun best c ->
-        match best with
-        | None -> Some c
-        | Some b -> if better c b then Some c else best)
-      None (candidates t ~pcpu)
-  in
-  let next = Option.map fst chosen in
-  (match chosen with Some (_, s) -> s.boosted <- false | None -> ());
-  if next <> t.running.(pcpu) then begin
-    t.switch_count <- t.switch_count + 1;
-    t.running.(pcpu) <- next
-  end;
-  next
+  let rq = t.runqueues.(pcpu) in
+  let best = ref (-1) in
+  for i = 0 to rq.len - 1 do
+    let c = rq.items.(i) in
+    if (not (throttled c)) && (!best < 0 || better c rq.items.(!best)) then
+      best := i
+  done;
+  if !best < 0 then begin
+    if t.running.(pcpu) != t.idle then switch_to t ~pcpu t.idle;
+    None
+  end
+  else begin
+    let s = rq.items.(!best) in
+    s.boosted <- false;
+    if not (is_running t s) then switch_to t ~pcpu s;
+    s.picked
+  end
 
 (* Refill until some runnable VCPU is back in credit (a deeply indebted
    VCPU — e.g. one that overran a long timeslice — may need several
    grants, as in Xen's periodic accounting). *)
 let rec refill_if_exhausted t =
-  let runnable_with_credit = ref false and any_runnable = ref false in
-  (* lint: sorted — boolean accumulation is order-insensitive *)
-  Hashtbl.iter
-    (fun _ s ->
-      if s.runnable then begin
-        any_runnable := true;
-        if s.credit > 0 then runnable_with_credit := true
-      end)
-    t.vcpus;
-  if !any_runnable && not !runnable_with_credit then begin
+  if t.runnable_count > 0 && t.in_credit_count = 0 then begin
     t.refill_count <- t.refill_count + 1;
     (* lint: sorted — weighted credit grant commutes across VCPUs *)
     Hashtbl.iter
-      (fun _ s ->
-        s.credit <- Stdlib.min (ceiling t s) (s.credit + grant t s))
+      (fun _ s -> set_credit t s (Stdlib.min (ceiling t s) (s.credit + grant t s)))
       t.vcpus;
     refill_if_exhausted t
   end
@@ -184,39 +245,33 @@ let periodic_refill t ~cycles =
   if cycles < 0 then
     invalid_arg "Credit_sched.periodic_refill: negative cycles";
   t.refill_count <- t.refill_count + 1;
-  let weight_sum = Array.make t.num_pcpus 0 in
-  (* lint: sorted — weight accumulation commutes across VCPUs *)
-  Hashtbl.iter
-    (fun _ s ->
-      if s.runnable then
-        weight_sum.(s.affinity) <- weight_sum.(s.affinity) + s.weight)
-    t.vcpus;
-  (* lint: sorted — each grant depends only on its VCPU and the sums *)
-  Hashtbl.iter
-    (fun _ s ->
-      if s.runnable && weight_sum.(s.affinity) > 0 then begin
-        let fair = cycles * s.weight / weight_sum.(s.affinity) in
-        let fair =
-          if s.cap = 0 then fair else Stdlib.min fair (cycles * s.cap / 100)
-        in
-        let top =
-          if s.cap = 0 then t.initial_credit else ceiling t s
-        in
-        s.credit <- Stdlib.min top (s.credit + fair)
-      end)
-    t.vcpus
+  for pcpu = 0 to t.num_pcpus - 1 do
+    let rq = t.runqueues.(pcpu) in
+    let weight_sum = ref 0 in
+    for i = 0 to rq.len - 1 do
+      weight_sum := !weight_sum + rq.items.(i).weight
+    done;
+    for i = 0 to rq.len - 1 do
+      let s = rq.items.(i) in
+      let fair = cycles * s.weight / !weight_sum in
+      let fair =
+        if s.cap = 0 then fair else Stdlib.min fair (cycles * s.cap / 100)
+      in
+      let top = if s.cap = 0 then t.initial_credit else ceiling t s in
+      set_credit t s (Stdlib.min top (s.credit + fair))
+    done
+  done
 
 let charge t ~pcpu ~cycles =
   if cycles < 0 then invalid_arg "Credit_sched.charge: negative cycles";
-  (match t.running.(pcpu) with
-  | Some vcpu ->
-      let s = state t vcpu in
-      s.credit <- s.credit - cycles;
-      s.enqueued_at <- next_stamp t (* requeue at the back *)
-  | None -> ());
+  let s = t.running.(pcpu) in
+  if s != t.idle then begin
+    set_credit t s (s.credit - cycles);
+    s.enqueued_at <- next_stamp t (* requeue at the back *)
+  end;
   refill_if_exhausted t
 
-let current t ~pcpu = t.running.(pcpu)
+let current t ~pcpu = t.running.(pcpu).picked
 let credit_of t vcpu = (state t vcpu).credit
 let switches t = t.switch_count
 let refills t = t.refill_count
@@ -246,8 +301,6 @@ let run_to_completion t ~work ~switch_cost =
           progress := true;
           let left = Hashtbl.find remaining vcpu in
           let slice = Stdlib.min left t.timeslice in
-          let was_current = current t ~pcpu = Some vcpu in
-          ignore was_current;
           pcpu_time.(pcpu) <- pcpu_time.(pcpu) + slice;
           charge t ~pcpu ~cycles:slice;
           let left' = left - slice in

@@ -8,7 +8,16 @@
     overhead (see {!Armvirt_workloads.Oversub}). The model keeps the
     essentials: per-VCPU credits burned while running, wake-up boosting,
     affinity, round-robin among equal-credit VCPUs, and a global refill
-    when the runnable set exhausts its credits. *)
+    when the runnable set exhausts its credits.
+
+    Each PCPU keeps a runqueue of its runnable VCPUs in [(dom, index)]
+    order, updated incrementally by {!set_runnable} and {!remove_vcpu},
+    and the scheduler keeps two counts — runnable VCPUs, and those of
+    them with credit left — exact across every credit or runnability
+    change. {!pick} therefore costs
+    O(runnable VCPUs on that PCPU) and allocates nothing, and the
+    exhaustion check in {!charge} is O(1); only an actual refill
+    touches every registered VCPU. *)
 
 type vcpu = { dom : int; index : int }
 
@@ -48,11 +57,16 @@ val set_runnable : t -> vcpu -> bool -> unit
 val pick : t -> pcpu:int -> vcpu option
 (** Schedules the next VCPU on a PCPU: the runnable VCPU with the most
     credit (FIFO among ties), or [None] to run the idle context.
-    Recorded as a context switch when it differs from the incumbent. *)
+    Recorded as a context switch when it differs from the incumbent.
+    Walks only this PCPU's runqueue, in [(dom, index)] order, without
+    allocating: under caps the preference is not transitive, so the
+    walk order is part of the result. *)
 
 val charge : t -> pcpu:int -> cycles:int -> unit
 (** Burns credit on the currently running VCPU. When every runnable
-    VCPU in the system is out of credit, credits refill. *)
+    VCPU in the system is out of credit, credits refill. The exhaustion
+    check is O(1); the refill itself grants credit to every registered
+    VCPU. *)
 
 val periodic_refill : t -> cycles:int -> unit
 (** Xen's periodic accounting tick. [cycles] is the per-PCPU capacity
@@ -62,7 +76,8 @@ val periodic_refill : t -> cycles:int -> unit
     prevent hoarding. Quantum-stepped drivers (see
     [Armvirt_fleet.Scenario]) call this on a fixed cadence so caps and
     weights shape throughput even when the work-conserving exhaustion
-    refill never fires. Raises [Invalid_argument] on negative
+    refill never fires. Visits only runnable VCPUs, through the
+    per-PCPU runqueues. Raises [Invalid_argument] on negative
     [cycles]. *)
 
 val current : t -> pcpu:int -> vcpu option

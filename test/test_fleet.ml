@@ -9,6 +9,10 @@ module Scenario = Armvirt_fleet.Scenario
 module Batch = Armvirt_fleet.Batch
 module Credit_sched = Armvirt_hypervisor.Credit_sched
 module Platform = Armvirt_core.Platform
+module Machine = Armvirt_arch.Machine
+module Counter = Armvirt_stats.Counter
+module Accounting = Armvirt_obs.Accounting
+module Hypervisor = Armvirt_hypervisor.Hypervisor
 
 let models =
   [
@@ -185,6 +189,56 @@ let test_noisy_deterministic () =
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "byte-identical result" true (a = b)
+
+(* --- exits = entries per PCPU ----------------------------------------- *)
+
+(* Every world switch a scenario marks into a PCPU must be matched by
+   one out of it: churn departures of the incumbent and the VCPUs still
+   on their PCPUs when the scenario ends included. *)
+let test_exits_match_entries () =
+  let two_vcpu =
+    Descriptor.v ~vms:12
+      [ (Descriptor.synthetic, 1); ({ Descriptor.synthetic with vcpus = 2 }, 1) ]
+  in
+  let scenarios =
+    [
+      ("boot-storm", fun hyp -> ignore (Scenario.boot_storm hyp two_vcpu));
+      ("churn", fun hyp -> ignore (Scenario.churn hyp two_vcpu));
+      ("noisy-neighbor", fun hyp -> ignore (Scenario.noisy_neighbor hyp two_vcpu));
+    ]
+  in
+  List.iter
+    (fun (scenario, run) ->
+      List.iter
+        (fun (model, platform, id) ->
+          let hyp = Platform.hypervisor platform id in
+          run hyp;
+          let counters = Machine.counters hyp.Hypervisor.machine in
+          let tally = Hashtbl.create 8 in
+          let bump pcpu ~exits ~entries =
+            let x, e = Option.value ~default:(0, 0) (Hashtbl.find_opt tally pcpu) in
+            Hashtbl.replace tally pcpu (x + exits, e + entries)
+          in
+          List.iter
+            (fun label ->
+              let n = Counter.get counters label in
+              match Accounting.parse_label label with
+              | Some (Accounting.Exit { pcpu; _ }) -> bump pcpu ~exits:n ~entries:0
+              | Some (Accounting.Entry { pcpu; _ }) -> bump pcpu ~exits:0 ~entries:n
+              | Some (Accounting.Op _) | None -> ())
+            (Counter.names counters);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s on %s: world switches marked" scenario model)
+            true
+            (Hashtbl.length tally > 0);
+          Hashtbl.iter
+            (fun pcpu (exits, entries) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s on %s: exits = entries on p%d" scenario model pcpu)
+                entries exits)
+            tally)
+        models)
+    scenarios
 
 (* --- batch (oversub substrate) --------------------------------------- *)
 
@@ -368,6 +422,363 @@ let test_remove_vcpu () =
   (* Re-adding the removed identity is legal (churn domid reuse). *)
   Credit_sched.add_vcpu sched a ~affinity:0
 
+let test_hot_path_allocation_free () =
+  (* The per-quantum path — pick, switch, charge, periodic refill — must
+     not allocate: it runs once per PCPU per quantum for every guest in
+     a fleet. *)
+  let ts = 1000 in
+  let sched = Credit_sched.create ~num_pcpus:2 ~timeslice_cycles:ts in
+  for dom = 0 to 63 do
+    let v = { Credit_sched.dom; index = 0 } in
+    Credit_sched.add_vcpu ~cap:(if dom mod 3 = 0 then 50 else 0) sched v
+      ~affinity:(dom mod 2);
+    Credit_sched.set_runnable sched v true
+  done;
+  let run quanta =
+    for q = 1 to quanta do
+      if q mod 10 = 0 then Credit_sched.periodic_refill sched ~cycles:(10 * ts);
+      for pcpu = 0 to 1 do
+        ignore (Credit_sched.pick sched ~pcpu);
+        Credit_sched.charge sched ~pcpu ~cycles:ts
+      done
+    done
+  in
+  run 100;
+  let switches = Credit_sched.switches sched in
+  let before = Gc.minor_words () in
+  run 1000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "switches happened" true
+    (Credit_sched.switches sched - switches > 1000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 2000 picks" words)
+    true (words < 64.0)
+
+(* --- differential check against the list-scan scheduler ------------- *)
+
+(* The credit scheduler as it stood before per-PCPU runqueues, kept
+   verbatim as the reference model: every pick folds [better] over a
+   freshly sorted candidate list, and every charge scans the whole VCPU
+   table for exhaustion. Caps make [better] non-transitive, so the
+   production scheduler must reproduce this fold order exactly. *)
+module Ref_sched = struct
+  type vcpu = Credit_sched.vcpu = { dom : int; index : int }
+
+  let default_weight = 256
+
+  type vstate = {
+    affinity : int;
+    weight : int;
+    cap : int;
+    mutable credit : int;
+    mutable runnable : bool;
+    mutable boosted : bool;
+    mutable enqueued_at : int;
+  }
+
+  type t = {
+    num_pcpus : int;
+    timeslice : int;
+    initial_credit : int;
+    vcpus : (vcpu, vstate) Hashtbl.t;
+    running : vcpu option array;
+    mutable stamp : int;
+    mutable switch_count : int;
+    mutable refill_count : int;
+  }
+
+  let create ~num_pcpus ~timeslice_cycles =
+    {
+      num_pcpus;
+      timeslice = timeslice_cycles;
+      initial_credit = 10 * timeslice_cycles;
+      vcpus = Hashtbl.create 16;
+      running = Array.make num_pcpus None;
+      stamp = 0;
+      switch_count = 0;
+      refill_count = 0;
+    }
+
+  let next_stamp t =
+    t.stamp <- t.stamp + 1;
+    t.stamp
+
+  let add_vcpu ?(weight = default_weight) ?(cap = 0) t vcpu ~affinity =
+    if affinity < 0 || affinity >= t.num_pcpus then
+      invalid_arg "Credit_sched.add_vcpu: affinity out of range";
+    if weight < 1 then invalid_arg "Credit_sched.add_vcpu: weight < 1";
+    if cap < 0 || cap > 100 then
+      invalid_arg "Credit_sched.add_vcpu: cap outside [0, 100]";
+    if Hashtbl.mem t.vcpus vcpu then
+      invalid_arg "Credit_sched.add_vcpu: duplicate VCPU";
+    let initial =
+      if cap = 0 then t.initial_credit
+      else
+        Stdlib.min t.initial_credit
+          (Stdlib.max 1 (t.initial_credit * cap / 100))
+    in
+    Hashtbl.replace t.vcpus vcpu
+      {
+        affinity;
+        weight;
+        cap;
+        credit = initial;
+        runnable = false;
+        boosted = false;
+        enqueued_at = next_stamp t;
+      }
+
+  let state t vcpu =
+    match Hashtbl.find_opt t.vcpus vcpu with
+    | Some s -> s
+    | None -> invalid_arg "Credit_sched: unknown VCPU"
+
+  let remove_vcpu t vcpu =
+    let s = state t vcpu in
+    Hashtbl.remove t.vcpus vcpu;
+    if t.running.(s.affinity) = Some vcpu then t.running.(s.affinity) <- None
+
+  let throttled s = s.cap > 0 && s.credit <= 0
+
+  let grant t s =
+    if s.cap = 0 then
+      Stdlib.max 1 (t.initial_credit * s.weight / default_weight)
+    else Stdlib.max 1 (t.initial_credit * s.cap / 100)
+
+  let ceiling t s =
+    if s.cap = 0 then max_int
+    else Stdlib.max 1 (t.initial_credit * s.cap / 100)
+
+  let set_runnable t vcpu runnable =
+    let s = state t vcpu in
+    if runnable && not s.runnable then begin
+      s.boosted <- true;
+      s.enqueued_at <- next_stamp t
+    end;
+    s.runnable <- runnable
+
+  let candidates t ~pcpu =
+    Hashtbl.fold
+      (fun vcpu s acc ->
+        if s.runnable && s.affinity = pcpu && not (throttled s) then
+          (vcpu, s) :: acc
+        else acc)
+      t.vcpus []
+    |> List.sort (fun ((a : vcpu), _) ((b : vcpu), _) ->
+           match Int.compare a.dom b.dom with
+           | 0 -> Int.compare a.index b.index
+           | c -> c)
+
+  let better (_, a) (_, b) =
+    match (a.boosted, b.boosted) with
+    | true, false -> true
+    | false, true -> false
+    | _ when a.cap > 0 || b.cap > 0 ->
+        let ua = a.credit > 0 and ub = b.credit > 0 in
+        if ua <> ub then ua else a.enqueued_at < b.enqueued_at
+    | _ ->
+        a.credit > b.credit
+        || (a.credit = b.credit && a.enqueued_at < b.enqueued_at)
+
+  let pick t ~pcpu =
+    if pcpu < 0 || pcpu >= t.num_pcpus then
+      invalid_arg "Credit_sched.pick: pcpu out of range";
+    let chosen =
+      List.fold_left
+        (fun best c ->
+          match best with
+          | None -> Some c
+          | Some b -> if better c b then Some c else best)
+        None (candidates t ~pcpu)
+    in
+    let next = Option.map fst chosen in
+    (match chosen with Some (_, s) -> s.boosted <- false | None -> ());
+    if next <> t.running.(pcpu) then begin
+      t.switch_count <- t.switch_count + 1;
+      t.running.(pcpu) <- next
+    end;
+    next
+
+  let rec refill_if_exhausted t =
+    let runnable_with_credit = ref false and any_runnable = ref false in
+    Hashtbl.iter
+      (fun _ s ->
+        if s.runnable then begin
+          any_runnable := true;
+          if s.credit > 0 then runnable_with_credit := true
+        end)
+      t.vcpus;
+    if !any_runnable && not !runnable_with_credit then begin
+      t.refill_count <- t.refill_count + 1;
+      Hashtbl.iter
+        (fun _ s ->
+          s.credit <- Stdlib.min (ceiling t s) (s.credit + grant t s))
+        t.vcpus;
+      refill_if_exhausted t
+    end
+
+  let periodic_refill t ~cycles =
+    if cycles < 0 then
+      invalid_arg "Credit_sched.periodic_refill: negative cycles";
+    t.refill_count <- t.refill_count + 1;
+    let weight_sum = Array.make t.num_pcpus 0 in
+    Hashtbl.iter
+      (fun _ s ->
+        if s.runnable then
+          weight_sum.(s.affinity) <- weight_sum.(s.affinity) + s.weight)
+      t.vcpus;
+    Hashtbl.iter
+      (fun _ s ->
+        if s.runnable && weight_sum.(s.affinity) > 0 then begin
+          let fair = cycles * s.weight / weight_sum.(s.affinity) in
+          let fair =
+            if s.cap = 0 then fair else Stdlib.min fair (cycles * s.cap / 100)
+          in
+          let top = if s.cap = 0 then t.initial_credit else ceiling t s in
+          s.credit <- Stdlib.min top (s.credit + fair)
+        end)
+      t.vcpus
+
+  let charge t ~pcpu ~cycles =
+    if cycles < 0 then invalid_arg "Credit_sched.charge: negative cycles";
+    (match t.running.(pcpu) with
+    | Some vcpu ->
+        let s = state t vcpu in
+        s.credit <- s.credit - cycles;
+        s.enqueued_at <- next_stamp t
+    | None -> ());
+    refill_if_exhausted t
+
+  let current t ~pcpu = t.running.(pcpu)
+  let credit_of t vcpu = (state t vcpu).credit
+  let switches t = t.switch_count
+  let refills t = t.refill_count
+end
+
+type sched_op =
+  | Add of { dom : int; index : int; weight : int; cap : int; affinity : int }
+  | Remove of int * int
+  | Runnable of int * int * bool
+  | Pick of int
+  | Charge of int * int
+  | Refill of int
+
+let sched_op_print = function
+  | Add { dom; index; weight; cap; affinity } ->
+      Printf.sprintf "Add d%d.%d w%d c%d p%d" dom index weight cap affinity
+  | Remove (d, i) -> Printf.sprintf "Remove d%d.%d" d i
+  | Runnable (d, i, b) -> Printf.sprintf "Runnable d%d.%d %b" d i b
+  | Pick p -> Printf.sprintf "Pick p%d" p
+  | Charge (p, c) -> Printf.sprintf "Charge p%d %d" p c
+  | Refill c -> Printf.sprintf "Refill %d" c
+
+let diff_doms = 6 and diff_indices = 2 and diff_timeslice = 100
+
+(* Each case fixes a PCPU count, then opens with a capped and an
+   uncapped VCPU runnable on PCPU 0 so every sequence mixes the two
+   comparison classes of [better] on one runqueue. *)
+let sched_case_gen =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun pcpus ->
+    let pcpu = int_bound (pcpus - 1) in
+    let dom = int_bound (diff_doms - 1) and index = int_bound (diff_indices - 1) in
+    let op =
+      frequency
+        [
+          ( 3,
+            map
+              (fun (((dom, index), (weight, cap)), affinity) ->
+                Add { dom; index; weight; cap; affinity })
+              (pair
+                 (pair (pair dom index)
+                    (pair (oneofl [ 1; 128; 256; 512 ]) (oneofl [ 0; 0; 10; 50; 100 ])))
+                 pcpu) );
+          (1, map2 (fun d i -> Remove (d, i)) dom index);
+          (4, map3 (fun d i b -> Runnable (d, i, b)) dom index bool);
+          (6, map (fun p -> Pick p) pcpu);
+          (6, map2 (fun p c -> Charge (p, c)) pcpu (int_bound (15 * diff_timeslice)));
+          (1, map (fun c -> Refill c) (int_bound (20 * diff_timeslice)));
+        ]
+    in
+    let prologue =
+      [
+        Add { dom = 0; index = 0; weight = 256; cap = 20; affinity = 0 };
+        Add { dom = 1; index = 0; weight = 256; cap = 0; affinity = 0 };
+        Runnable (0, 0, true);
+        Runnable (1, 0, true);
+      ]
+    in
+    map (fun ops -> (pcpus, prologue @ ops)) (list_size (int_range 1 200) op))
+
+let prop_sched_matches_reference =
+  QCheck.Test.make ~name:"runqueue scheduler agrees with list-scan reference"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (pcpus, ops) ->
+         Printf.sprintf "%d PCPUs: %s" pcpus
+           (String.concat "; " (List.map sched_op_print ops)))
+       sched_case_gen)
+    (fun (pcpus, ops) ->
+      let sched =
+        Credit_sched.create ~num_pcpus:pcpus ~timeslice_cycles:diff_timeslice
+      in
+      let model =
+        Ref_sched.create ~num_pcpus:pcpus ~timeslice_cycles:diff_timeslice
+      in
+      let attempt f = try Ok (f ()) with Invalid_argument m -> Error m in
+      let agree f g = attempt f = attempt g in
+      List.for_all
+        (fun op ->
+          let v dom index = { Credit_sched.dom; index } in
+          let step_ok =
+            match op with
+            | Add { dom; index; weight; cap; affinity } ->
+                agree
+                  (fun () ->
+                    Credit_sched.add_vcpu ~weight ~cap sched (v dom index) ~affinity)
+                  (fun () ->
+                    Ref_sched.add_vcpu ~weight ~cap model (v dom index) ~affinity)
+            | Remove (dom, index) ->
+                agree
+                  (fun () -> Credit_sched.remove_vcpu sched (v dom index))
+                  (fun () -> Ref_sched.remove_vcpu model (v dom index))
+            | Runnable (dom, index, b) ->
+                agree
+                  (fun () -> Credit_sched.set_runnable sched (v dom index) b)
+                  (fun () -> Ref_sched.set_runnable model (v dom index) b)
+            | Pick pcpu ->
+                agree
+                  (fun () -> Credit_sched.pick sched ~pcpu)
+                  (fun () -> Ref_sched.pick model ~pcpu)
+            | Charge (pcpu, cycles) ->
+                agree
+                  (fun () -> Credit_sched.charge sched ~pcpu ~cycles)
+                  (fun () -> Ref_sched.charge model ~pcpu ~cycles)
+            | Refill cycles ->
+                agree
+                  (fun () -> Credit_sched.periodic_refill sched ~cycles)
+                  (fun () -> Ref_sched.periodic_refill model ~cycles)
+          in
+          let credits_agree =
+            List.for_all
+              (fun dom ->
+                List.for_all
+                  (fun index ->
+                    agree
+                      (fun () -> Credit_sched.credit_of sched (v dom index))
+                      (fun () -> Ref_sched.credit_of model (v dom index)))
+                  (List.init diff_indices Fun.id))
+              (List.init diff_doms Fun.id)
+          in
+          step_ok && credits_agree
+          && List.for_all
+               (fun pcpu ->
+                 Credit_sched.current sched ~pcpu = Ref_sched.current model ~pcpu)
+               (List.init pcpus Fun.id)
+          && Credit_sched.switches sched = Ref_sched.switches model
+          && Credit_sched.refills sched = Ref_sched.refills model)
+        ops)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -401,6 +812,11 @@ let () =
             test_noisy_monotone_all_models;
           Alcotest.test_case "deterministic" `Quick test_noisy_deterministic;
         ] );
+      ( "conservation",
+        [
+          Alcotest.test_case "exits = entries per PCPU, all scenarios" `Quick
+            test_exits_match_entries;
+        ] );
       ( "batch",
         [
           Alcotest.test_case "reproduces the manual oversub sched" `Quick
@@ -418,5 +834,8 @@ let () =
             test_candidate_order_insertion_invariant;
           Alcotest.test_case "remove_vcpu (churn departures)" `Quick
             test_remove_vcpu;
+          Alcotest.test_case "pick/charge/refill allocate nothing" `Quick
+            test_hot_path_allocation_free;
+          QCheck_alcotest.to_alcotest prop_sched_matches_reference;
         ] );
     ]
