@@ -3,39 +3,17 @@
    measures the simulator's own throughput with one Bechamel test per
    table/figure.
 
-   Usage: main.exe [experiment ...]
-     paper artifacts: table2 table3 table5 fig4 vhe irqdist pinning zerocopy
-     extensions:      oversub disk tail coldstart lrs gicv3 ticks linkspeed
-                      isolation guestops crosscall vapic twodwalk multiqueue
-                      lazyswitch consolidation tracereplay structural
-                      fig4chart
-     also:            bechamel, runner, explore, migrate, events,
-                      all (default) *)
+   Usage: main.exe [name ...]
+     experiments:      any id of `armvirt list` (Armvirt_core.Catalog)
+     self-benchmarks:  bechamel, runner, explore, migrate; these win over
+                       a catalog id of the same name
+     all (default):    every catalog experiment, then every
+                       self-benchmark *)
 
+module Catalog = Armvirt_core.Catalog
 module Experiment = Armvirt_core.Experiment
-module Report = Armvirt_core.Report
 
 let ppf = Format.std_formatter
-
-let run_table2 () = Report.pp_table2 ppf (Experiment.table2 ())
-let run_table3 () = Report.pp_table3 ppf (Experiment.table3 ())
-let run_table5 () = Report.pp_table5 ppf (Experiment.table5 ())
-let run_fig4 () = Report.pp_fig4 ppf (Experiment.fig4 ())
-
-let run_vhe () =
-  Report.pp_vhe ppf (Experiment.vhe ());
-  Format.pp_print_newline ppf ();
-  Report.pp_vhe_app ppf (Experiment.vhe_app ())
-
-let run_irqdist () = Report.pp_irqdist ppf (Experiment.irqdist ())
-let run_pinning () = Report.pp_pinning ppf (Experiment.pinning ())
-
-let run_zerocopy () =
-  Report.pp_zerocopy ppf (Experiment.zerocopy ());
-  Format.fprintf ppf
-    "x86 break-even: zero copy only pays off above %d bytes per transfer \
-     (8-CPU TLB shootdown), hence Xen x86 copies (section V).@."
-    (Experiment.x86_zero_copy_break_even ())
 
 module Runner = Armvirt_core.Runner
 
@@ -167,11 +145,6 @@ let run_migrate_bench () =
       Format.fprintf ppf "@.")
     results
 
-(* Raw engine throughput: the events/sec campaign (ROADMAP item 1).
-   Same suite as `armvirt bench-events`, human-readable table here. *)
-let run_events_bench () =
-  Armvirt_bench_events.Bench_events.(pp_table ppf (suite ~scale:1 ()))
-
 (* Bechamel: how fast the simulator itself regenerates each artifact.
    Every staged run clears the cross-artifact memo table first, so
    iterations measure regeneration, not cache hits. *)
@@ -229,71 +202,31 @@ let run_bechamel () =
       | Some _ | None -> Format.fprintf ppf "  %-24s (no estimate)@." name)
     rows
 
-let experiments =
+let self_benchmarks =
   [
-    ("table2", run_table2);
-    ("table3", run_table3);
-    ("table5", run_table5);
-    ("fig4", run_fig4);
-    ("vhe", run_vhe);
-    ("irqdist", run_irqdist);
-    ("pinning", run_pinning);
-    ("zerocopy", run_zerocopy);
-    ("oversub", fun () -> Report.pp_oversub ppf (Experiment.oversub ()));
-    ("disk", fun () -> Report.pp_disk ppf (Experiment.disk ()));
-    ("tail", fun () -> Report.pp_tail ppf (Experiment.tail ()));
-    ("coldstart", fun () -> Report.pp_coldstart ppf (Experiment.coldstart ()));
-    ("lrs", fun () -> Report.pp_lrs ppf (Experiment.lrs ()));
-    ("gicv3", fun () -> Report.pp_gicv3 ppf (Experiment.gicv3 ()));
-    ("ticks", fun () -> Report.pp_ticks ppf (Experiment.ticks ()));
-    ("linkspeed", fun () -> Report.pp_linkspeed ppf (Experiment.linkspeed ()));
-    ("isolation", fun () -> Report.pp_isolation ppf (Experiment.isolation ()));
-    ("structural", fun () -> Report.pp_structural ppf (Experiment.structural ()));
-    ("lazyswitch", fun () -> Report.pp_lazyswitch ppf (Experiment.lazyswitch ()));
-    ("guestops", fun () -> Report.pp_guestops ppf (Experiment.guestops ()));
-    ("crosscall", fun () -> Report.pp_crosscall ppf (Experiment.crosscall ()));
-    ("twodwalk", fun () -> Report.pp_twodwalk ppf (Experiment.twodwalk ()));
-    ("multiqueue", fun () -> Report.pp_multiqueue ppf (Experiment.multiqueue ()));
-    ( "tracereplay",
-      fun () -> Report.pp_tracereplay ppf (Experiment.tracereplay ()) );
-    ( "vapic",
-      fun () ->
-        Report.pp_vapic ppf (Experiment.vapic ());
-        Report.pp_vapic_apps ppf (Experiment.vapic_apps ()) );
-    ( "consolidation",
-      fun () -> Report.pp_consolidation ppf (Experiment.consolidation ()) );
-    ( "fig4chart",
-      fun () -> Report.pp_fig4_chart ppf (Experiment.fig4 ()) );
+    ("bechamel", run_bechamel);
+    ("runner", run_runner_bench);
+    ("explore", run_explore_bench);
+    ("migrate", run_migrate_bench);
   ]
 
+let run_experiment (e : Catalog.t) =
+  e.run ppf;
+  Format.pp_print_newline ppf ()
+
 let run_one name =
-  match List.assoc_opt name experiments with
-  | Some f ->
-      f ();
-      Format.pp_print_newline ppf ()
-  | None ->
-      if name = "bechamel" then run_bechamel ()
-      else if name = "runner" then run_runner_bench ()
-      else if name = "explore" then run_explore_bench ()
-      else if name = "migrate" then run_migrate_bench ()
-      else if name = "events" then run_events_bench ()
-      else begin
-        Format.fprintf ppf
-          "unknown experiment %S; available: %s bechamel runner explore \
-           migrate events all@."
-          name
-          (String.concat " " (List.map fst experiments));
-        exit 1
-      end
+  match (List.assoc_opt name self_benchmarks, Catalog.find name) with
+  | Some f, _ -> f ()
+  | None, Some e -> run_experiment e
+  | None, None ->
+      Format.fprintf ppf "unknown experiment %S; available: %s %s all@." name
+        (String.concat " " (List.map (fun (e : Catalog.t) -> e.id) Catalog.all))
+        (String.concat " " (List.map fst self_benchmarks));
+      exit 1
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
+  match List.tl (Array.to_list Sys.argv) with
   | [] | [ "all" ] ->
-      List.iter (fun (name, _) -> run_one name) experiments;
-      run_bechamel ();
-      run_runner_bench ();
-      run_explore_bench ();
-      run_migrate_bench ();
-      run_events_bench ()
+      List.iter run_experiment Catalog.all;
+      List.iter (fun (_, f) -> f ()) self_benchmarks
   | names -> List.iter run_one names

@@ -7,6 +7,8 @@
      app           run one application workload through the Figure 4 model
      rr            run the Netperf TCP_RR decomposition on one hypervisor
      trace         run an experiment under the tracer and export the trace
+     stat          kvm_stat-style exit accounting of an experiment
+     timeline      cycle-by-cycle ledger of one hypervisor operation
      explore       sweep or calibrate the design space (lib/explore)
      migrate       live-migrate a loaded VM and report downtime vs the SLO
      fleet         consolidate N guests on one host: boot-storm, churn,
@@ -14,9 +16,14 @@
      cluster       VM-to-VM traffic over the virtual switch fabric:
                    throughput matrix, service chain, load-generator sweep
      bench-events  measure raw engine events/sec and emit BENCH_events.json
-     lint          statically check the determinism invariants (lib/lint) *)
+     report        regenerate the paper's tables as a markdown report
+     lint          statically check the determinism invariants (lib/lint)
+
+   Experiment ids come from Armvirt_core.Catalog; nothing here lists
+   them. *)
 
 module Platform = Armvirt_core.Platform
+module Catalog = Armvirt_core.Catalog
 module Experiment = Armvirt_core.Experiment
 module Report = Armvirt_core.Report
 module Observe = Armvirt_core.Observe
@@ -95,6 +102,14 @@ let positive_int =
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
+(* Experiment ids, straight from the catalog: an unknown id is a usage
+   error before anything runs. *)
+let experiment_conv =
+  Arg.enum (List.map (fun (e : Catalog.t) -> (e.id, e)) Catalog.all)
+
+let iterations_arg ~doc =
+  Arg.(value & opt positive_int 32 & info [ "iterations" ] ~docv:"N" ~doc)
+
 let jobs_arg =
   Arg.(
     value
@@ -110,10 +125,51 @@ let apply_jobs = function
   | Some n -> Armvirt_core.Runner.set_jobs n
   | None -> ()
 
-(* --- tracing plumbing ------------------------------------------------- *)
+(* --- output plumbing -------------------------------------------------- *)
 
-let format_conv =
-  Arg.enum [ ("chrome", `Chrome); ("csv", `Csv); ("summary", `Summary) ]
+(* Sink for an experiment's own report when the command's output is
+   something else: a trace or an accounting table. *)
+let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
+
+(* Runs [f] on stdout when [path] is "-", else on the file [path], and
+   then confirms on stdout with "wrote PATH" followed by [note ()]. *)
+let with_out ?(note = fun () -> "") path f =
+  match path with
+  | "-" ->
+      f Format.std_formatter;
+      Format.pp_print_flush Format.std_formatter ()
+  | path ->
+      Out_channel.with_open_text path (fun oc ->
+          let fmt = Format.formatter_of_out_channel oc in
+          f fmt;
+          Format.pp_print_flush fmt ());
+      Format.fprintf ppf "wrote %s%s@." path (note ())
+
+let out_arg =
+  Arg.(
+    value & opt string "-"
+    & info [ "o"; "out" ] ~docv:"FILE"
+        ~doc:"Output file; $(b,-) (default) writes to stdout.")
+
+(* --format of the table subcommands. Absent means the command's own
+   default: markdown, or migrate's text report. *)
+let table_format_arg ~doc =
+  Arg.(
+    value
+    & opt (some (enum [ ("md", `Md); ("csv", `Csv) ])) None
+    & info [ "format" ] ~docv:"FORMAT" ~doc)
+
+let f1 = Printf.sprintf "%.1f"
+let f2 = Printf.sprintf "%.2f"
+let f3 = Printf.sprintf "%.3f"
+
+let write_table format out ~header rows =
+  with_out out (fun fmt ->
+      match format with
+      | Some `Csv -> Report.pp_csv_table fmt ~header rows
+      | Some `Md | None -> Report.pp_markdown_table fmt ~header rows)
+
+(* --- tracing plumbing ------------------------------------------------- *)
 
 let trace_file_arg =
   Arg.(
@@ -142,29 +198,21 @@ let traced_cell label f =
   Observe.record_cells [| cell |];
   v
 
-let write_trace ppf ~format path =
+let write_trace ~format path =
   let procs = Observe.processes () in
-  let render out =
-    match format with
-    | `Chrome -> Export.chrome out procs
-    | `Csv -> Export.csv out procs
-    | `Summary -> Export.summary out procs
+  let note () =
+    let events =
+      List.fold_left
+        (fun acc (p : Export.process) -> acc + List.length p.events)
+        0 procs
+    in
+    Printf.sprintf " (%d cells, %d events)" (List.length procs) events
   in
-  match path with
-  | "-" -> render Format.std_formatter
-  | path ->
-      let oc = open_out path in
-      let out = Format.formatter_of_out_channel oc in
-      render out;
-      Format.pp_print_flush out ();
-      close_out oc;
-      let events =
-        List.fold_left
-          (fun acc (p : Export.process) -> acc + List.length p.events)
-          0 procs
-      in
-      Format.fprintf ppf "wrote %s (%d cells, %d events)@." path
-        (List.length procs) events
+  with_out ~note path (fun out ->
+      match format with
+      | `Chrome -> Export.chrome out procs
+      | `Csv -> Export.csv out procs
+      | `Summary -> Export.summary out procs)
 
 let print_verbose ppf =
   let hits, misses = Experiment.memo_stats () in
@@ -183,20 +231,13 @@ let stat_file_arg =
            attribution) as $(b,armvirt.stat/v1) JSON to $(docv); \
            $(b,-) writes it to stdout.")
 
-let write_stat ppf ~context path =
+let write_stat ~context path =
   let acct = Stat_report.of_session () in
-  let render out =
-    Stat.render_json ~context out acct;
-    Format.pp_print_flush out ()
+  let note () =
+    Printf.sprintf " (%d accounting rows)"
+      (List.length acct.Armvirt_obs.Accounting.vms)
   in
-  match path with
-  | "-" -> render Format.std_formatter
-  | path ->
-      let oc = open_out path in
-      render (Format.formatter_of_out_channel oc);
-      close_out oc;
-      Format.fprintf ppf "wrote %s (%d accounting rows)@." path
-        (List.length (Stat_report.of_session ()).Armvirt_obs.Accounting.vms)
+  with_out ~note path (fun out -> Stat.render_json ~context out acct)
 
 (* Tracing, [--stat] and [--verbose] share a session: all need the
    observer hooks installed; they differ only in what is exported
@@ -209,53 +250,95 @@ let with_session ~context ?(stat_file = None) ~trace_file ~verbose f =
     Fun.protect ~finally:Observe.disable (fun () ->
         let v = f () in
         (match trace_file with
-        | Some path -> write_trace ppf ~format:`Chrome path
+        | Some path -> write_trace ~format:`Chrome path
         | None -> ());
         (match stat_file with
-        | Some path -> write_stat ppf ~context path
+        | Some path -> write_stat ~context path
         | None -> ());
         if verbose then print_verbose ppf;
         v)
   end
 
+let target_doc =
+  "any experiment id from `armvirt list`, $(b,rr) / $(b,micro) for the \
+   direct workload paths (honouring $(b,-p)/$(b,-H)), $(b,fleet) for a \
+   small traced boot-storm whose entries are domain-tagged, or \
+   $(b,cluster) for a traced two-host service chain with per-port vswitch \
+   and wire counters"
+
+(* Split-mode KVM ARM with the VGIC save cost overridden, whatever -p/-H
+   say: the knob exists to move the committed stat baseline measurably. *)
+let perturbed_kvm_arm save =
+  let module Cost_model = Armvirt_arch.Cost_model in
+  let arm = Cost_model.arm_default in
+  let restore =
+    (arm.Cost_model.reg Armvirt_arch.Reg_class.Vgic).Cost_model.restore
+  in
+  let cost =
+    Cost_model.Arm
+      (Cost_model.with_reg_cost Armvirt_arch.Reg_class.Vgic ~save ~restore arm)
+  in
+  Armvirt_hypervisor.Kvm_arm.to_hypervisor
+    (Armvirt_hypervisor.Kvm_arm.create (Platform.machine_with ~cost))
+
+(* The one target resolver of [trace] and [stat]. Runs [target] inside a
+   fresh observer session: a direct workload path as one explicit cell
+   on the -p/-H model, or a catalog experiment with its report
+   discarded. Then runs [export ()] while the session is still live. *)
+let observe_target ?iterations ?perturb_vgic_save platform hyp target export =
+  Observe.enable ~context:target ();
+  Fun.protect ~finally:Observe.disable (fun () ->
+      (* Hypervisors (and their machines) must be built inside the
+         captured cell so the tracer attaches to them. *)
+      (match target with
+      | "micro" ->
+          traced_cell "micro#0.0" (fun () ->
+              let hypervisor =
+                match perturb_vgic_save with
+                | None -> resolve platform hyp
+                | Some save -> perturbed_kvm_arm save
+              in
+              ignore (W.Microbench.run ?iterations hypervisor))
+      | "rr" ->
+          traced_cell "rr#0.0" (fun () ->
+              ignore (W.Netperf.run_tcp_rr (resolve platform hyp)))
+      | "fleet" ->
+          traced_cell "fleet#0.0" (fun () ->
+              let desc =
+                Fleet.Descriptor.v ~vms:8 [ (Fleet.Descriptor.synthetic, 1) ]
+              in
+              ignore (Fleet.Scenario.boot_storm (resolve platform hyp) desc))
+      | "cluster" ->
+          (* A traced two-host service chain: the vswitch.* and wire.*
+             per-port counters surface as operation rows. *)
+          traced_cell "cluster#0.0" (fun () ->
+              ignore (W.Cluster.run_chain ~requests:40 (resolve platform hyp)))
+      | id -> (
+          match Catalog.find id with
+          | Some e -> e.run null_ppf
+          | None ->
+              Format.fprintf ppf "unknown experiment %S; try `armvirt list`@."
+                id;
+              exit 2));
+      export ())
+
 (* --- list ------------------------------------------------------------- *)
 
-let experiments =
+(* The three Netperf configurations complete Table IV; they run through
+   [W.Netperf] rather than the Figure 4 application model. *)
+let netperf_workloads =
   [
-    ("table2", "Table II: the seven microbenchmarks on all four hypervisors");
-    ("table3", "Table III: KVM ARM hypercall save/restore decomposition");
-    ("table5", "Table V: Netperf TCP_RR latency analysis on ARM");
-    ("fig4", "Figure 4: application benchmark performance, normalized");
-    ("vhe", "Section VI: ARMv8.1 VHE microbenchmarks and app predictions");
-    ("irqdist", "Section V ablation: distributing virtual interrupts");
-    ("pinning", "Section IV check: Xen I/O latency vs pinning");
-    ("zerocopy", "Section V what-if: Xen zero copy on ARM");
-    ("oversub", "Extension: VM Switch cost under oversubscription");
-    ("disk", "Extension: paravirtual block I/O latency/throughput");
-    ("tail", "Extension: open-loop tail latency percentiles");
-    ("coldstart", "Extension: cold-start stage-2 faulting");
-    ("lrs", "Extension: vGIC list-register sensitivity");
-    ("gicv3", "Extension: GICv2 vs GICv3 interrupt-controller ablation");
-    ("ticks", "Extension: virtual-timer tick overhead per guest HZ");
-    ("linkspeed", "Extension: TCP_STREAM at 1 vs 10 GbE wire speed");
-    ("isolation", "Extension: measurement variability without isolation");
-    ("structural", "Cross-validation: structural stacks vs analytic models");
-    ("lazyswitch", "Extension: post-paper lazy state-switching optimizations");
-    ("guestops", "Extension: guest-local operation costs (what stays native)");
-    ("crosscall", "Extension: guest broadcast cross-call (TLB shootdown) cost");
-    ("vapic", "Extension: x86 with vAPIC (hardware interrupt completion)");
-    ("twodwalk", "Extension: nested paging's 24-access 2D page walk");
-    ("multiqueue", "Extension: virtio-net multiqueue vs the IRQ bottleneck");
-    ("tracereplay", "Extension: synthetic trace replay, per-request surcharges");
-    ("consolidation", "Extension: VM density (N memcached VMs per host)");
-    ("migrate", "Extension: live-migration downtime/SLO under request load");
-    ("fig4chart", "Figure 4 as ASCII bars (ARM columns)");
+    ("TCP_RR", `Rr, "netperf 1-byte request-response (latency)");
+    ("TCP_STREAM", `Stream, "netperf bulk receive into the VM (throughput)");
+    ("TCP_MAERTS", `Maerts, "netperf bulk transmit out of the VM (throughput)");
   ]
 
 let list_cmd =
   let run () =
     print_endline "Experiments (armvirt run <id>):";
-    List.iter (fun (id, doc) -> Printf.printf "  %-10s %s\n" id doc) experiments;
+    List.iter
+      (fun (e : Catalog.t) -> Printf.printf "  %-10s %s\n" e.id e.doc)
+      Catalog.all;
     print_endline "\nPlatforms (-p): arm, arm-vhe, x86";
     print_endline "Hypervisors (-H): kvm, xen, native";
     print_endline "\nApplication workloads (armvirt app <name>):";
@@ -265,81 +348,39 @@ let list_cmd =
           w.W.Workload.description)
       W.Workload.all;
     List.iter
-      (fun (n, d) -> Printf.printf "  %-14s %s\n" n d)
-      [
-        ("TCP_RR", "netperf 1-byte request-response (latency)");
-        ("TCP_STREAM", "netperf bulk receive into the VM (throughput)");
-        ("TCP_MAERTS", "netperf bulk transmit out of the VM (throughput)");
-      ]
+      (fun (n, _, d) -> Printf.printf "  %-14s %s\n" n d)
+      netperf_workloads
   in
   Cmd.v (Cmd.info "list" ~doc:"Enumerate experiments, platforms and workloads")
     Term.(const run $ const ())
 
 (* --- run ---------------------------------------------------------------- *)
 
-let run_experiment ppf = function
-  | "table2" -> Report.pp_table2 ppf (Experiment.table2 ())
-  | "table3" -> Report.pp_table3 ppf (Experiment.table3 ())
-  | "table5" -> Report.pp_table5 ppf (Experiment.table5 ())
-  | "fig4" -> Report.pp_fig4 ppf (Experiment.fig4 ())
-  | "vhe" ->
-      Report.pp_vhe ppf (Experiment.vhe ());
-      Report.pp_vhe_app ppf (Experiment.vhe_app ())
-  | "irqdist" -> Report.pp_irqdist ppf (Experiment.irqdist ())
-  | "pinning" -> Report.pp_pinning ppf (Experiment.pinning ())
-  | "zerocopy" ->
-      Report.pp_zerocopy ppf (Experiment.zerocopy ());
-      Format.fprintf ppf "x86 zero-copy break-even: %d bytes@."
-        (Experiment.x86_zero_copy_break_even ())
-  | "oversub" -> Report.pp_oversub ppf (Experiment.oversub ())
-  | "disk" -> Report.pp_disk ppf (Experiment.disk ())
-  | "tail" -> Report.pp_tail ppf (Experiment.tail ())
-  | "coldstart" -> Report.pp_coldstart ppf (Experiment.coldstart ())
-  | "lrs" -> Report.pp_lrs ppf (Experiment.lrs ())
-  | "gicv3" -> Report.pp_gicv3 ppf (Experiment.gicv3 ())
-  | "ticks" -> Report.pp_ticks ppf (Experiment.ticks ())
-  | "linkspeed" -> Report.pp_linkspeed ppf (Experiment.linkspeed ())
-  | "isolation" -> Report.pp_isolation ppf (Experiment.isolation ())
-  | "structural" -> Report.pp_structural ppf (Experiment.structural ())
-  | "lazyswitch" -> Report.pp_lazyswitch ppf (Experiment.lazyswitch ())
-  | "guestops" -> Report.pp_guestops ppf (Experiment.guestops ())
-  | "crosscall" -> Report.pp_crosscall ppf (Experiment.crosscall ())
-  | "twodwalk" -> Report.pp_twodwalk ppf (Experiment.twodwalk ())
-  | "multiqueue" -> Report.pp_multiqueue ppf (Experiment.multiqueue ())
-  | "tracereplay" -> Report.pp_tracereplay ppf (Experiment.tracereplay ())
-  | "vapic" ->
-      Report.pp_vapic ppf (Experiment.vapic ());
-      Report.pp_vapic_apps ppf (Experiment.vapic_apps ())
-  | "consolidation" ->
-      Report.pp_consolidation ppf (Experiment.consolidation ())
-  | "migrate" -> Report.pp_migrate ppf (Experiment.migrate ())
-  | "fig4chart" -> Report.pp_fig4_chart ppf (Experiment.fig4 ())
-  | other -> Format.fprintf ppf "unknown experiment %S; try `armvirt list`@." other
-
 let run_cmd =
-  let ids =
+  let experiments =
     Arg.(
-      non_empty & pos_all string []
+      non_empty
+      & pos_all experiment_conv []
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see `armvirt list`).")
   in
-  let run jobs trace_file stat_file verbose ids =
+  let run jobs trace_file stat_file verbose experiments =
     apply_jobs jobs;
-    with_session ~context:(String.concat "+" ids) ~stat_file ~trace_file
-      ~verbose (fun () -> List.iter (run_experiment ppf) ids)
+    let context =
+      String.concat "+" (List.map (fun (e : Catalog.t) -> e.id) experiments)
+    in
+    with_session ~context ~stat_file ~trace_file ~verbose (fun () ->
+        List.iter (fun (e : Catalog.t) -> e.run ppf) experiments)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Regenerate the paper's tables and figures")
     Term.(
-      const run $ jobs_arg $ trace_file_arg $ stat_file_arg $ verbose_arg $ ids)
+      const run $ jobs_arg $ trace_file_arg $ stat_file_arg $ verbose_arg
+      $ experiments)
 
 (* --- micro ---------------------------------------------------------------- *)
 
 let micro_cmd =
-  let iterations =
-    Arg.(
-      value & opt int 32
-      & info [ "iterations" ] ~docv:"N" ~doc:"Iterations per microbenchmark.")
-  in
+  let iterations = iterations_arg ~doc:"Iterations per microbenchmark." in
   let run platform hyp iterations jobs trace_file stat_file =
     apply_jobs jobs;
     with_session ~context:"micro" ~stat_file ~trace_file ~verbose:false
@@ -366,10 +407,36 @@ let micro_cmd =
 
 (* --- app ------------------------------------------------------------------- *)
 
+(* A Table IV workload: one of the Figure 4 application models, found
+   case-insensitively, or a Netperf configuration. *)
+let workload_conv =
+  let parse s =
+    match
+      List.find_opt
+        (fun (n, _, _) -> n = String.uppercase_ascii s)
+        netperf_workloads
+    with
+    | Some (_, np, _) -> Ok (`Netperf np)
+    | None -> (
+        match W.Workload.find s with
+        | Some w -> Ok (`App w)
+        | None ->
+            Error
+              (`Msg (Printf.sprintf "unknown workload %S; try `armvirt list`" s)))
+  in
+  let print fmt = function
+    | `App w -> Format.pp_print_string fmt w.W.Workload.name
+    | `Netperf np ->
+        let n, _, _ = List.find (fun (_, np', _) -> np = np') netperf_workloads in
+        Format.pp_print_string fmt n
+  in
+  Arg.conv (parse, print)
+
 let app_cmd =
   let workload =
     Arg.(
-      required & pos 0 (some string) None
+      required
+      & pos 0 (some workload_conv) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see `armvirt list`).")
   in
   let distribute =
@@ -378,44 +445,35 @@ let app_cmd =
       & info [ "distribute-irqs" ]
           ~doc:"Spread virtual interrupts across all VCPUs (section V ablation).")
   in
-  let run platform hyp name distribute jobs trace_file stat_file =
+  let run platform hyp workload distribute jobs trace_file stat_file =
     apply_jobs jobs;
     with_session ~context:"app" ~stat_file ~trace_file ~verbose:false
     @@ fun () ->
     traced_cell "app#0.0" @@ fun () ->
     let hypervisor = resolve platform hyp in
-    match String.uppercase_ascii name with
-    | "TCP_RR" ->
+    let pp_stream (r : W.Netperf.stream_result) =
+      Format.fprintf ppf "%s: %.2f Gb/s (%.2fx native time, %s-bound)@."
+        hypervisor.Hypervisor.name r.W.Netperf.gbps
+        r.W.Netperf.stream_normalized r.W.Netperf.stream_bottleneck
+    in
+    match workload with
+    | `Netperf `Rr ->
         let r = W.Netperf.run_tcp_rr hypervisor in
         Format.fprintf ppf "%s: %.0f trans/s, %.1f us/trans (%.2fx native)@."
           hypervisor.Hypervisor.name r.W.Netperf.trans_per_sec
           r.W.Netperf.time_per_trans_us r.W.Netperf.normalized
-    | "TCP_STREAM" ->
-        let r = W.Netperf.tcp_stream hypervisor in
-        Format.fprintf ppf "%s: %.2f Gb/s (%.2fx native time, %s-bound)@."
-          hypervisor.Hypervisor.name r.W.Netperf.gbps
-          r.W.Netperf.stream_normalized r.W.Netperf.stream_bottleneck
-    | "TCP_MAERTS" ->
-        let r = W.Netperf.tcp_maerts hypervisor in
-        Format.fprintf ppf "%s: %.2f Gb/s (%.2fx native time, %s-bound)@."
-          hypervisor.Hypervisor.name r.W.Netperf.gbps
-          r.W.Netperf.stream_normalized r.W.Netperf.stream_bottleneck
-    | _ -> (
-        match W.Workload.find name with
-        | None ->
-            Format.fprintf ppf "unknown workload %S; try `armvirt list`@." name
-        | Some w ->
-            let irq_distribution =
-              if distribute then W.App_model.All_vcpus
-              else W.App_model.Single_vcpu
-            in
-            let v = W.App_model.run ~irq_distribution w hypervisor in
-            Format.fprintf ppf
-              "%s on %s: %.2fx native (overhead %.1f%%, bottleneck: %s)@."
-              w.W.Workload.name hypervisor.Hypervisor.name
-              v.W.App_model.normalized
-              (W.App_model.overhead_percent v)
-              v.W.App_model.bottleneck)
+    | `Netperf `Stream -> pp_stream (W.Netperf.tcp_stream hypervisor)
+    | `Netperf `Maerts -> pp_stream (W.Netperf.tcp_maerts hypervisor)
+    | `App w ->
+        let irq_distribution =
+          if distribute then W.App_model.All_vcpus else W.App_model.Single_vcpu
+        in
+        let v = W.App_model.run ~irq_distribution w hypervisor in
+        Format.fprintf ppf
+          "%s on %s: %.2fx native (overhead %.1f%%, bottleneck: %s)@."
+          w.W.Workload.name hypervisor.Hypervisor.name v.W.App_model.normalized
+          (W.App_model.overhead_percent v)
+          v.W.App_model.bottleneck
   in
   Cmd.v
     (Cmd.info "app" ~doc:"Run one application workload (Figure 4 model)")
@@ -428,7 +486,7 @@ let app_cmd =
 let rr_cmd =
   let transactions =
     Arg.(
-      value & opt int 400
+      value & opt positive_int 400
       & info [ "transactions" ] ~docv:"N" ~doc:"Transactions to simulate.")
   in
   let run platform hyp transactions trace_file =
@@ -459,56 +517,30 @@ let rr_cmd =
 let trace_cmd =
   let target =
     Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "What to trace: any experiment id from `armvirt list`, or \
-             $(b,rr) / $(b,micro) for the direct workload paths (honouring \
-             $(b,-p)/$(b,-H)).")
-  in
-  let out =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) writes to stdout.")
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"EXPERIMENT" ~doc:("What to trace: " ^ target_doc ^ "."))
   in
   let format =
     Arg.(
-      value & opt format_conv `Chrome
+      value
+      & opt (enum [ ("chrome", `Chrome); ("csv", `Csv); ("summary", `Summary) ])
+          `Chrome
       & info [ "format" ] ~docv:"FORMAT"
           ~doc:
             "Export format: $(b,chrome) (trace-event JSON for \
              Perfetto/chrome://tracing), $(b,csv), or $(b,summary) \
              (flame-style cycle attribution by category).")
   in
-  (* The experiment's normal report goes to a null formatter: the trace
-     is this command's output. *)
-  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   let run platform hyp jobs target out format =
     apply_jobs jobs;
-    Observe.enable ~context:target ();
-    Fun.protect ~finally:Observe.disable (fun () ->
-        (match target with
-        | "rr" ->
-            traced_cell "rr#0.0" (fun () ->
-                let hypervisor = resolve platform hyp in
-                ignore (W.Netperf.run_tcp_rr hypervisor))
-        | "micro" ->
-            traced_cell "micro#0.0" (fun () ->
-                let hypervisor = resolve platform hyp in
-                ignore (W.Microbench.run hypervisor))
-        | id when List.mem_assoc id experiments -> run_experiment null_ppf id
-        | other ->
-            Format.fprintf ppf "unknown experiment %S; try `armvirt list`@."
-              other;
-            exit 2);
-        write_trace ppf ~format out)
+    observe_target platform hyp target (fun () -> write_trace ~format out)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run an experiment under the tracer and export the trace")
     Term.(
-      const run $ platform_arg $ hyp_arg $ jobs_arg $ target $ out $ format)
+      const run $ platform_arg $ hyp_arg $ jobs_arg $ target $ out_arg $ format)
 
 (* --- stat ----------------------------------------------------------------- *)
 
@@ -518,20 +550,9 @@ let stat_cmd =
       value & pos_all string []
       & info [] ~docv:"TARGET"
           ~doc:
-            "What to account: any experiment id from `armvirt list`, \
-             $(b,rr) / $(b,micro) for the direct workload paths \
-             (honouring $(b,-p)/$(b,-H)), $(b,fleet) for a small \
-             traced boot-storm whose entries are domain-tagged, or \
-             $(b,cluster) for a traced two-host service chain with \
-             per-port vswitch and wire counters. With \
-             $(b,--diff), two armvirt.stat/v1 JSON files (old then \
-             new).")
-  in
-  let out =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) writes to stdout.")
+            ("What to account: " ^ target_doc
+           ^ ". With $(b,--diff), two armvirt.stat/v1 JSON files (old then \
+              new)."))
   in
   let format =
     Arg.(
@@ -564,12 +585,10 @@ let stat_cmd =
           ~doc:"Keep only the top $(docv) exit reasons by count; 0 = all.")
   in
   let iterations =
-    Arg.(
-      value & opt int 32
-      & info [ "iterations" ] ~docv:"N"
-          ~doc:
-            "Iterations per microbenchmark ($(b,micro) target and \
-             $(b,--crosscheck)).")
+    iterations_arg
+      ~doc:
+        "Iterations per microbenchmark ($(b,micro) target and \
+         $(b,--crosscheck))."
   in
   let diff =
     Arg.(
@@ -619,10 +638,9 @@ let stat_cmd =
              is overridden to $(docv) cycles (Table III default: 3250), \
              so the report measurably shifts.")
   in
-  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   let read_file path = In_channel.with_open_bin path In_channel.input_all in
   let run platform hyp jobs iterations format out per_vcpu per_domain top diff
-      crosscheck count_pct cycles_pct perturb targets =
+      crosscheck count_pct cycles_pct perturb_vgic_save targets =
     apply_jobs jobs;
     if diff then (
       match targets with
@@ -652,75 +670,15 @@ let stat_cmd =
     else
       match targets with
       | [ target ] ->
-          Observe.enable ~context:target ();
-          Fun.protect ~finally:Observe.disable (fun () ->
-              (match target with
-              | "micro" ->
-                  traced_cell "micro#0.0" (fun () ->
-                      let hypervisor =
-                        match perturb with
-                        | None -> resolve platform hyp
-                        | Some save ->
-                            (* Perturbed split-mode KVM ARM, whatever
-                               -p/-H say: the knob exists to move the
-                               committed baseline measurably. *)
-                            let module Cost_model = Armvirt_arch.Cost_model in
-                            let arm = Cost_model.arm_default in
-                            let restore =
-                              (arm.Cost_model.reg Armvirt_arch.Reg_class.Vgic)
-                                .Cost_model.restore
-                            in
-                            let cost =
-                              Cost_model.Arm
-                                (Cost_model.with_reg_cost
-                                   Armvirt_arch.Reg_class.Vgic ~save ~restore
-                                   arm)
-                            in
-                            Armvirt_hypervisor.Kvm_arm.to_hypervisor
-                              (Armvirt_hypervisor.Kvm_arm.create
-                                 (Platform.machine_with ~cost))
-                      in
-                      ignore (W.Microbench.run ~iterations hypervisor))
-              | "rr" ->
-                  traced_cell "rr#0.0" (fun () ->
-                      ignore (W.Netperf.run_tcp_rr (resolve platform hyp)))
-              | "fleet" ->
-                  traced_cell "fleet#0.0" (fun () ->
-                      let desc =
-                        Fleet.Descriptor.v ~vms:8
-                          [ (Fleet.Descriptor.synthetic, 1) ]
-                      in
-                      ignore
-                        (Fleet.Scenario.boot_storm (resolve platform hyp) desc))
-              | "cluster" ->
-                  (* A traced two-host service chain: the vswitch.* and
-                     wire.* per-port counters surface as operation rows. *)
-                  traced_cell "cluster#0.0" (fun () ->
-                      ignore
-                        (W.Cluster.run_chain ~requests:40
-                           (resolve platform hyp)))
-              | id when List.mem_assoc id experiments ->
-                  run_experiment null_ppf id
-              | other ->
-                  Format.fprintf ppf
-                    "unknown experiment %S; try `armvirt list`@." other;
-                  exit 2);
+          observe_target ~iterations ?perturb_vgic_save platform hyp target
+            (fun () ->
               let acct = Stat_report.of_session () in
               let opts = { Stat.per_vcpu; per_domain; top } in
-              let render fmt =
-                (match format with
-                | `Text -> Stat.render_text ~opts ~context:target fmt acct
-                | `Csv -> Stat.render_csv ~opts ~context:target fmt acct
-                | `Json -> Stat.render_json ~opts ~context:target fmt acct);
-                Format.pp_print_flush fmt ()
-              in
-              match out with
-              | "-" -> render Format.std_formatter
-              | path ->
-                  let oc = open_out path in
-                  render (Format.formatter_of_out_channel oc);
-                  close_out oc;
-                  Format.fprintf ppf "wrote %s@." path)
+              with_out out (fun fmt ->
+                  match format with
+                  | `Text -> Stat.render_text ~opts ~context:target fmt acct
+                  | `Csv -> Stat.render_csv ~opts ~context:target fmt acct
+                  | `Json -> Stat.render_json ~opts ~context:target fmt acct))
       | _ ->
           Format.fprintf ppf
             "stat needs one target (or --diff OLD NEW / --crosscheck); try \
@@ -735,16 +693,27 @@ let stat_cmd =
           diffing and the trace-vs-analytic crosscheck")
     Term.(
       const run $ platform_arg $ hyp_arg $ jobs_arg $ iterations $ format
-      $ out $ per_vcpu $ per_domain $ top $ diff $ crosscheck
+      $ out_arg $ per_vcpu $ per_domain $ top $ diff $ crosscheck
       $ count_tolerance $ cycles_tolerance $ perturb_vgic_save $ targets)
 
 (* --- timeline ------------------------------------------------------------ *)
 
 let timeline_cmd =
+  let ops =
+    [
+      ("hypercall", fun (h : Hypervisor.t) -> h.hypercall ());
+      ("ict", fun h -> h.interrupt_controller_trap ());
+      ("eoi", fun h -> h.virtual_irq_completion ());
+      ("vmswitch", fun h -> h.vm_switch ());
+      ("vipi", fun h -> ignore (h.virtual_ipi ()));
+      ("io-out", fun h -> ignore (h.io_latency_out ()));
+      ("io-in", fun h -> ignore (h.io_latency_in ()));
+    ]
+  in
   let operation =
     Arg.(
       value
-      & opt string "hypercall"
+      & opt (enum (List.map (fun (op, _) -> (op, op)) ops)) "hypercall"
       & info [ "op" ] ~docv:"OP"
           ~doc:
             "Operation to trace: hypercall, ict, eoi, vmswitch, vipi, io-out \
@@ -754,40 +723,20 @@ let timeline_cmd =
     let hypervisor = resolve platform hyp in
     let machine = hypervisor.Hypervisor.machine in
     let trace = Armvirt_stats.Trace.create () in
-    let path : (unit -> unit) option =
-      match op with
-      | "hypercall" -> Some hypervisor.Hypervisor.hypercall
-      | "ict" -> Some hypervisor.Hypervisor.interrupt_controller_trap
-      | "eoi" -> Some hypervisor.Hypervisor.virtual_irq_completion
-      | "vmswitch" -> Some hypervisor.Hypervisor.vm_switch
-      | "vipi" -> Some (fun () -> ignore (hypervisor.Hypervisor.virtual_ipi ()))
-      | "io-out" ->
-          Some (fun () -> ignore (hypervisor.Hypervisor.io_latency_out ()))
-      | "io-in" ->
-          Some (fun () -> ignore (hypervisor.Hypervisor.io_latency_in ()))
-      | _ -> None
-    in
-    match path with
-    | None ->
-        Format.fprintf ppf
-          "unknown operation %S (hypercall|ict|eoi|vmswitch|vipi|io-out|io-in)@."
-          op
-    | Some path ->
-        Armvirt_engine.Sim.spawn
-          (Armvirt_arch.Machine.sim machine)
-          ~name:"timeline" (fun () ->
-            Armvirt_arch.Machine.observe machine
-              (Some
-                 (fun ~label ~cycles ~now ->
-                   Armvirt_stats.Trace.record trace ~label ~cycles ~now));
-            path ();
-            Armvirt_arch.Machine.observe machine None);
-        Armvirt_engine.Sim.run (Armvirt_arch.Machine.sim machine);
-        Format.fprintf ppf "%s: %s, step by step@." hypervisor.Hypervisor.name
-          op;
-        Armvirt_stats.Trace.pp_timeline ppf trace;
-        Format.fprintf ppf "total: %d cycles@."
-          (Armvirt_stats.Trace.total_cycles trace)
+    Armvirt_engine.Sim.spawn
+      (Armvirt_arch.Machine.sim machine)
+      ~name:"timeline" (fun () ->
+        Armvirt_arch.Machine.observe machine
+          (Some
+             (fun ~label ~cycles ~now ->
+               Armvirt_stats.Trace.record trace ~label ~cycles ~now));
+        (List.assoc op ops) hypervisor;
+        Armvirt_arch.Machine.observe machine None);
+    Armvirt_engine.Sim.run (Armvirt_arch.Machine.sim machine);
+    Format.fprintf ppf "%s: %s, step by step@." hypervisor.Hypervisor.name op;
+    Armvirt_stats.Trace.pp_timeline ppf trace;
+    Format.fprintf ppf "total: %d cycles@."
+      (Armvirt_stats.Trace.total_cycles trace)
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -857,21 +806,12 @@ let explore_cmd =
             "Objective to evaluate at each point (repeatable; default \
              $(b,hypercall)). Use $(b,--objectives) to list.")
   in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) writes to stdout.")
-  in
   let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("md", `Md); ("csv", `Csv) ]) `Md
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:
-            "$(b,md) (markdown report with Pareto frontier and, for oat \
-             runs, the sensitivity ranking) or $(b,csv) (one row per \
-             point with a pareto 0/1 column).")
+    table_format_arg
+      ~doc:
+        "$(b,md) (default: markdown report with Pareto frontier and, for \
+         oat runs, the sensitivity ranking) or $(b,csv) (one row per point \
+         with a pareto 0/1 column)."
   in
   let seed_arg =
     Arg.(
@@ -901,19 +841,6 @@ let explore_cmd =
   let objectives_list_arg =
     Arg.(
       value & flag & info [ "objectives" ] ~doc:"List the objectives and exit.")
-  in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
   in
   let run space sampler objectives out format seed calibrate restarts knobs
       objectives_list jobs trace_file =
@@ -966,8 +893,8 @@ let explore_cmd =
             in
             with_out out (fun fmt ->
                 match format with
-                | `Csv -> Explore.Sweep.pp_csv fmt sweep
-                | `Md -> Explore.Sweep.pp_markdown fmt sweep)
+                | Some `Csv -> Explore.Sweep.pp_csv fmt sweep
+                | Some `Md | None -> Explore.Sweep.pp_markdown fmt sweep)
           end
   in
   Cmd.v
@@ -1035,32 +962,10 @@ let migrate_cmd =
           ~doc:"Also print per-round pages/length/p99 for every config.")
   in
   let format_arg =
-    Arg.(
-      value
-      & opt (some (enum [ ("md", `Md); ("csv", `Csv) ])) None
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:
-            "Machine-readable output instead of the text report: $(b,md) \
-             or $(b,csv), one row per configuration.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file for --format; $(b,-) (default) is stdout.")
-  in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
+    table_format_arg
+      ~doc:
+        "Machine-readable output instead of the text report: $(b,md) or \
+         $(b,csv), one row per configuration, to $(b,--out)."
   in
   let table_rows rows =
     let header =
@@ -1076,18 +981,18 @@ let migrate_cmd =
         name;
         r.W.Migration.transport;
         string_of_int r.W.Migration.precopy_rounds;
-        Printf.sprintf "%.1f" (r.W.Migration.total_ms *. 1e3);
-        Printf.sprintf "%.1f" r.W.Migration.downtime_us;
+        f1 (r.W.Migration.total_ms *. 1e3);
+        f1 r.W.Migration.downtime_us;
         string_of_int r.W.Migration.pages_sent;
         string_of_int r.W.Migration.pages_resent;
         string_of_int r.W.Migration.final_pages;
         string_of_int r.W.Migration.wp_faults;
         string_of_bool r.W.Migration.converged;
-        Printf.sprintf "%.2f" r.W.Migration.baseline_p99_us;
+        f2 r.W.Migration.baseline_p99_us;
         string_of_int r.W.Migration.worst_round;
-        Printf.sprintf "%.2f" r.W.Migration.worst_p99_us;
-        Printf.sprintf "%.3f" r.W.Migration.p99_degradation;
-        Printf.sprintf "%.2f" r.W.Migration.post_p99_us;
+        f2 r.W.Migration.worst_p99_us;
+        f3 r.W.Migration.p99_degradation;
+        f2 r.W.Migration.post_p99_us;
       ]
     in
     (header, List.map cells rows)
@@ -1129,12 +1034,9 @@ let migrate_cmd =
     | None ->
         Report.pp_migrate ppf results;
         if detail then Report.pp_migrate_rounds ppf results
-    | Some fmt ->
+    | Some _ ->
         let header, rows = table_rows results in
-        with_out out (fun out_ppf ->
-            match fmt with
-            | `Csv -> Report.pp_csv_table out_ppf ~header rows
-            | `Md -> Report.pp_markdown_table out_ppf ~header rows)
+        write_table format out ~header rows
   in
   Cmd.v
     (Cmd.info "migrate"
@@ -1186,33 +1088,8 @@ let fleet_cmd =
              declared proportion.")
   in
   let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("md", `Md); ("csv", `Csv) ]) `Md
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"$(b,md) (default) or $(b,csv), one row per cell.")
+    table_format_arg ~doc:"$(b,md) (default) or $(b,csv), one row per cell."
   in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) is stdout.")
-  in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
-  in
-  let f1 = Printf.sprintf "%.1f" in
-  let f3 = Printf.sprintf "%.3f" in
   let run scenario vms mix_spec format out jobs trace_file stat_file =
     apply_jobs jobs;
     let mix =
@@ -1298,10 +1175,7 @@ let fleet_cmd =
                 ])
               results )
     in
-    with_out out (fun out_ppf ->
-        match format with
-        | `Csv -> Report.pp_csv_table out_ppf ~header rows
-        | `Md -> Report.pp_markdown_table out_ppf ~header rows)
+    write_table format out ~header rows
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1384,35 +1258,7 @@ let cluster_cmd =
              native capacity; the default tops out at $(b,1.1) — past \
              the knee on every model.")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("md", `Md); ("csv", `Csv) ]) `Md
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"$(b,md) (default) or $(b,csv).")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) is stdout.")
-  in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
-  in
-  let f1 = Printf.sprintf "%.1f" in
-  let f2 = Printf.sprintf "%.2f" in
-  let f3 = Printf.sprintf "%.3f" in
+  let format_arg = table_format_arg ~doc:"$(b,md) (default) or $(b,csv)." in
   let run scenario spec vms loads format out jobs trace_file stat_file =
     apply_jobs jobs;
     (match loads with
@@ -1490,10 +1336,7 @@ let cluster_cmd =
                   r.W.Cluster.points)
               results )
     in
-    with_out out (fun out_ppf ->
-        match format with
-        | `Csv -> Report.pp_csv_table out_ppf ~header rows
-        | `Md -> Report.pp_markdown_table out_ppf ~header rows)
+    write_table format out ~header rows
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1522,7 +1365,8 @@ let bench_events_cmd =
              timing noise proportionally. Event counts are deterministic \
              at any fixed scale.")
   in
-  let out_arg =
+  (* Unlike the table subcommands' --out, absent here means "no JSON". *)
+  let json_out_arg =
     Arg.(
       value & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
@@ -1531,31 +1375,25 @@ let bench_events_cmd =
              $(docv); $(b,-) writes the JSON to stdout instead of the \
              table.")
   in
-  let run scale out =
+  let run scale json_out =
     let results = Bench_events.suite ~scale () in
     let overhead = Bench_events.overhead_trial ~scale () in
-    match out with
-    | Some "-" ->
-        Bench_events.emit_json Format.std_formatter ~scale ~overhead results
-    | Some path ->
-        Bench_events.pp_table ppf results;
-        Bench_events.pp_overhead ppf overhead;
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        Bench_events.emit_json fmt ~scale ~overhead results;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
-    | None ->
-        Bench_events.pp_table ppf results;
-        Bench_events.pp_overhead ppf overhead
+    if json_out <> Some "-" then begin
+      Bench_events.pp_table ppf results;
+      Bench_events.pp_overhead ppf overhead
+    end;
+    Option.iter
+      (fun path ->
+        with_out path (fun fmt ->
+            Bench_events.emit_json fmt ~scale ~overhead results))
+      json_out
   in
   Cmd.v
     (Cmd.info "bench-events"
        ~doc:
          "Measure raw engine throughput (events/sec): microbenchmark \
           mixes plus whole-workload netperf and migration runs")
-    Term.(const run $ scale_arg $ out_arg)
+    Term.(const run $ scale_arg $ json_out_arg)
 
 (* --- report ---------------------------------------------------------------- *)
 
@@ -1569,13 +1407,9 @@ let report_cmd =
   in
   let run output =
     let report = Armvirt_core.Markdown.full_report () in
-    match output with
-    | None -> print_string report
-    | Some path ->
-        let oc = open_out path in
-        output_string oc report;
-        close_out oc;
-        Printf.printf "wrote %s (%d bytes)\n" path (String.length report)
+    let note () = Printf.sprintf " (%d bytes)" (String.length report) in
+    with_out ~note (Option.value output ~default:"-") (fun fmt ->
+        Format.pp_print_string fmt report)
   in
   Cmd.v
     (Cmd.info "report"

@@ -5,6 +5,7 @@ module Platform = Armvirt_core.Platform
 module Paper_data = Armvirt_core.Paper_data
 module Experiment = Armvirt_core.Experiment
 module Report = Armvirt_core.Report
+module Catalog = Armvirt_core.Catalog
 module Hypervisor = Armvirt_hypervisor.Hypervisor
 
 (* --- Platform ---------------------------------------------------------- *)
@@ -163,6 +164,19 @@ let test_report_table2_renders () =
   Alcotest.(check bool) "mentions hypercall" true
     (String.length out > 200 && contains out "Hypercall")
 
+(* --- catalog ----------------------------------------------------------- *)
+
+let test_catalog_ids () =
+  let ids = List.map (fun (e : Catalog.t) -> e.id) Catalog.all in
+  Alcotest.(check int) "ids unique" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids));
+  List.iter
+    (fun id ->
+      Alcotest.(check (option string)) id (Some id)
+        (Option.map (fun (e : Catalog.t) -> e.id) (Catalog.find id)))
+    ids;
+  Alcotest.(check bool) "unknown id" true (Catalog.find "bogus" = None)
+
 (* --- umbrella ---------------------------------------------------------- *)
 
 let test_umbrella_reexports () =
@@ -210,6 +224,8 @@ let () =
       ( "report",
         [ Alcotest.test_case "table2 renders" `Quick test_report_table2_renders ]
       );
+      ( "catalog",
+        [ Alcotest.test_case "ids" `Quick test_catalog_ids ] );
       ( "umbrella",
         [ Alcotest.test_case "re-exports usable" `Quick test_umbrella_reexports ]
       );
