@@ -529,10 +529,13 @@ let emit_json ppf ~scale ~overhead results =
     | Some v -> Printf.sprintf "%.3f" v
     | None -> "null"
   in
+  let str s = "\"" ^ Armvirt_obs.Codec.escape_json s ^ "\"" in
   let mix_json mix =
     "{"
     ^ String.concat ", "
-        (List.map (fun (reason, n) -> Printf.sprintf "%S: %d" reason n) mix)
+        (List.map
+           (fun (reason, n) -> Printf.sprintf "%s: %d" (str reason) n)
+           mix)
     ^ "}"
   in
   Format.fprintf ppf "{@.";
@@ -546,10 +549,10 @@ let emit_json ppf ~scale ~overhead results =
   List.iteri
     (fun i r ->
       Format.fprintf ppf
-        "    {\"name\": %S, \"kind\": %S, \"events\": %d, \"wall_s\": %.6f, \
+        "    {\"name\": %s, \"kind\": %s, \"events\": %d, \"wall_s\": %.6f, \
          \"events_per_sec\": %.1f, \"baseline_events_per_sec\": %s, \
          \"speedup\": %s, \"exit_mix\": %s}%s@."
-        r.name (kind_to_string r.kind) r.events r.wall_s r.events_per_sec
+        (str r.name) (str (kind_to_string r.kind)) r.events r.wall_s r.events_per_sec
         (opt_float r.baseline_events_per_sec)
         (opt_ratio r.speedup) (mix_json r.exit_mix)
         (if i = n - 1 then "" else ","))
@@ -562,10 +565,10 @@ let emit_json ppf ~scale ~overhead results =
   List.iteri
     (fun i o ->
       Format.fprintf ppf
-        "    {\"bench\": %S, \"disabled_events_per_sec\": %.1f, \
+        "    {\"bench\": %s, \"disabled_events_per_sec\": %.1f, \
          \"enabled_events_per_sec\": %s, \"reference_events_per_sec\": %s, \
          \"disabled_overhead_pct\": %s, \"enabled_overhead_pct\": %s}%s@."
-        o.bench o.disabled_events_per_sec
+        (str o.bench) o.disabled_events_per_sec
         (opt_float o.enabled_events_per_sec)
         (opt_float o.reference_events_per_sec)
         (opt_ratio o.disabled_overhead_pct)

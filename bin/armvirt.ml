@@ -722,21 +722,20 @@ let timeline_cmd =
   let run platform hyp op =
     let hypervisor = resolve platform hyp in
     let machine = hypervisor.Hypervisor.machine in
-    let trace = Armvirt_stats.Trace.create () in
+    let tracer = Armvirt_obs.Tracer.create () in
     Armvirt_engine.Sim.spawn
       (Armvirt_arch.Machine.sim machine)
       ~name:"timeline" (fun () ->
-        Armvirt_arch.Machine.observe machine
-          (Some
-             (fun ~label ~cycles ~now ->
-               Armvirt_stats.Trace.record trace ~label ~cycles ~now));
+        Observe.trace_machine tracer machine;
         (List.assoc op ops) hypervisor;
-        Armvirt_arch.Machine.observe machine None);
+        Armvirt_arch.Machine.observe machine None;
+        Armvirt_arch.Machine.observe_count machine None);
     Armvirt_engine.Sim.run (Armvirt_arch.Machine.sim machine);
+    let events = Armvirt_obs.Tracer.events tracer in
     Format.fprintf ppf "%s: %s, step by step@." hypervisor.Hypervisor.name op;
-    Armvirt_stats.Trace.pp_timeline ppf trace;
+    Observe.pp_ledger ppf events;
     Format.fprintf ppf "total: %d cycles@."
-      (Armvirt_stats.Trace.total_cycles trace)
+      (List.fold_left (fun n e -> n + Armvirt_obs.Span.duration e) 0 events)
   in
   Cmd.v
     (Cmd.info "timeline"

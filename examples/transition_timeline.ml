@@ -1,34 +1,51 @@
 (* Transition timelines: a cycle-accurate ledger of each hypervisor's
-   I/O Latency Out path, reconstructed with the Trace observer — the
-   closest thing to watching the paper's Table II rows happen.
+   I/O Latency Out path, recorded by the tracer — the closest thing to
+   watching the paper's Table II rows happen.
 
    Run with: dune exec examples/transition_timeline.exe *)
 
 module Sim = Armvirt_engine.Sim
-module Trace = Armvirt_stats.Trace
+module Span = Armvirt_obs.Span
+module Tracer = Armvirt_obs.Tracer
 module Machine = Armvirt_arch.Machine
+module Observe = Armvirt_core.Observe
 module Platform = Armvirt_core.Platform
 module Hypervisor = Armvirt_hypervisor.Hypervisor
 
+(* Total cycles per label, descending; equal totals in label order. *)
+let by_label events =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Span.event) ->
+      Hashtbl.replace table e.Span.name
+        (Span.duration e
+        + Option.value ~default:0 (Hashtbl.find_opt table e.Span.name)))
+    events;
+  Hashtbl.fold (fun label cycles acc -> (label, cycles) :: acc) table []
+  |> List.sort (fun (la, a) (lb, b) ->
+         match Int.compare b a with 0 -> String.compare la lb | c -> c)
+
 let timeline name (hyp : Hypervisor.t) =
   let machine = hyp.Hypervisor.machine in
-  let trace = Trace.create () in
+  let tracer = Tracer.create () in
   Sim.spawn (Machine.sim machine) ~name:"probe" (fun () ->
-      (* Attach the observer only for the measured path. *)
-      Machine.observe machine
-        (Some (fun ~label ~cycles ~now -> Trace.record trace ~label ~cycles ~now));
+      (* Attach the observers only for the measured path. *)
+      Observe.trace_machine tracer machine;
       ignore (hyp.Hypervisor.io_latency_out ());
-      Machine.observe machine None);
+      Machine.observe machine None;
+      Machine.observe_count machine None);
   Sim.run (Machine.sim machine);
+  let events = Tracer.events tracer in
   Printf.printf "%s — I/O Latency Out, step by step\n%s\n" name
     (String.make 64 '-');
-  Format.printf "%a" Trace.pp_timeline trace;
-  Printf.printf "%-12s total %d cycles\n\n" "" (Trace.total_cycles trace);
+  Format.printf "%a" Observe.pp_ledger events;
+  Printf.printf "%-12s total %d cycles\n\n" ""
+    (List.fold_left (fun n e -> n + Span.duration e) 0 events);
   Printf.printf "Where it went:\n";
   List.iter
     (fun (label, cycles) ->
       if cycles > 0 then Printf.printf "  %-34s %8d\n" label cycles)
-    (Trace.by_label trace);
+    (by_label events);
   print_newline ()
 
 let () =

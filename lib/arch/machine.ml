@@ -11,8 +11,6 @@ type t = {
   cpus : pcpu array;
   mutable observer :
     (label:string -> cycles:int -> now:Cycles.t -> unit) option;
-  mutable obs_observer :
-    (label:string -> cycles:int -> now:Cycles.t -> unit) option;
   mutable count_observer : (label:string -> now:Cycles.t -> unit) option;
 }
 
@@ -40,7 +38,6 @@ let create sim ~cost ~num_cpus =
       counters = Counter.create_set ();
       cpus = Array.init num_cpus make_cpu;
       observer = None;
-      obs_observer = None;
       count_observer = None;
     }
   in
@@ -61,7 +58,6 @@ let pcpu_id cpu = cpu.id
 let exclusive cpu = cpu.exclusive
 
 let observe t observer = t.observer <- observer
-let observe_obs t observer = t.obs_observer <- observer
 let observe_count t observer = t.count_observer <- observer
 
 let spend t label cycles =
@@ -69,10 +65,7 @@ let spend t label cycles =
   Counter.add t.counters label cycles;
   Counter.add t.counters "cycles" cycles;
   Sim.delay (Cycles.of_int cycles);
-  (match t.observer with
-  | Some notify -> notify ~label ~cycles ~now:(Sim.current_time ())
-  | None -> ());
-  match t.obs_observer with
+  match t.observer with
   | Some notify -> notify ~label ~cycles ~now:(Sim.current_time ())
   | None -> ()
 

@@ -38,16 +38,13 @@ val spend : t -> string -> int -> unit
 
 val observe :
   t -> (label:string -> cycles:int -> now:Armvirt_engine.Cycles.t -> unit) option -> unit
-(** Installs (or clears) an observer invoked on every {!spend}, with the
-    simulated time {e after} the operation. Used by
-    {!Armvirt_stats.Trace} to reconstruct operation timelines without
-    touching the hypervisor paths. *)
-
-val observe_obs :
-  t -> (label:string -> cycles:int -> now:Armvirt_engine.Cycles.t -> unit) option -> unit
-(** A second, independent observer slot with the same contract as
-    {!observe}, reserved for the structured tracing layer so it can
-    coexist with a user-installed {!Armvirt_stats.Trace} observer. *)
+(** Installs (or clears) the machine's one spend observer, invoked on
+    every {!spend} with the simulated time {e after} the operation.
+    There is a single slot: installing an observer replaces the previous
+    one. The tracing layer ([Armvirt_core.Observe.trace_machine]) fills
+    it to turn spends into trace spans and the [timeline] ledger,
+    without touching the hypervisor paths; with no observer, {!spend}
+    pays one option check. *)
 
 val observe_count :
   t -> (label:string -> now:Armvirt_engine.Cycles.t -> unit) option -> unit
@@ -56,7 +53,7 @@ val observe_count :
     accounting layer turns exit/entry marker counts into instant trace
     events through this slot; with no observer installed, {!count} costs
     one hashtable increment and an option check. Unlike the spend
-    observers it reads the machine clock directly, so it is safe from
+    observer it reads the machine clock directly, so it is safe from
     outside a simulation process. *)
 
 val set_create_hook : (t -> unit) option -> unit

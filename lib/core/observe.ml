@@ -49,28 +49,45 @@ let next_map_seq () = Atomic.fetch_and_add map_seq 1
 
 (* --- machine instrumentation --------------------------------------- *)
 
-let attach live m =
-  let idx = live.machines in
-  live.machines <- idx + 1;
-  let prefix = if idx = 0 then "" else Printf.sprintf "m%d:" idx in
-  let tracer = live.tracer and metrics = live.cell_metrics in
-  Machine.observe_obs m
+let trace_machine ?metrics ?(prefix = "") tracer m =
+  let track = prefix ^ "cpu" in
+  Machine.observe m
     (Some
        (fun ~label ~cycles ~now ->
-         let now = Cycles.to_int now in
          let cat = Span.of_label label in
-         Tracer.complete tracer ~track:(prefix ^ "cpu") ~cat ~name:label
-           ~ts:(now - cycles) ~dur:cycles;
-         Metrics.incr metrics
-           ~labels:[ ("category", Span.category_to_string cat) ]
-           ~by:cycles "spend_cycles_total"));
+         Tracer.complete tracer ~track ~cat ~name:label
+           ~ts:(Cycles.to_int now - cycles) ~dur:cycles;
+         match metrics with
+         | None -> ()
+         | Some metrics ->
+             Metrics.incr metrics
+               ~labels:[ ("category", Span.category_to_string cat) ]
+               ~by:cycles "spend_cycles_total"));
   (* Counts become instants on the same cpu track: the accounting layer
      pairs exit/entry markers against it to derive exit latencies. *)
   Machine.observe_count m
     (Some
        (fun ~label ~now ->
-         Tracer.instant tracer ~track:(prefix ^ "cpu") ~cat:(Span.of_label label)
-           ~name:label ~ts:(Cycles.to_int now)));
+         Tracer.instant tracer ~track ~cat:(Span.of_label label) ~name:label
+           ~ts:(Cycles.to_int now)))
+
+let pp_ledger ppf events =
+  List.iter
+    (fun (e : Span.event) ->
+      match e.Span.kind with
+      | Span.Complete dur when e.Span.track = "cpu" ->
+          Format.fprintf ppf "%12s  +%-6d %s@."
+            (Format.asprintf "%a" Cycles.pp (Cycles.of_int (e.Span.ts + dur)))
+            dur e.Span.name
+      | _ -> ())
+    events
+
+let attach live m =
+  let idx = live.machines in
+  live.machines <- idx + 1;
+  let prefix = if idx = 0 then "" else Printf.sprintf "m%d:" idx in
+  let tracer = live.tracer and metrics = live.cell_metrics in
+  trace_machine ~metrics ~prefix tracer m;
   (* Park times keyed by pid so blocked spans pair correctly even when
      several processes share a display name. *)
   let parked : (int, int) Hashtbl.t = Hashtbl.create 32 in

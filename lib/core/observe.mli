@@ -5,14 +5,39 @@
     runner wraps each simulation cell in {!capture}, which gives the
     cell a private tracer and metric registry on its executing domain
     (via [Domain.DLS]). A {!Armvirt_arch.Machine.set_create_hook} hook
-    attaches both to every machine the cell builds: [spend] calls become
-    complete spans on the machine's ["cpu"] track (categorised with
-    {!Armvirt_obs.Span.of_label}), and an engine observer
+    attaches both to every machine the cell builds: {!trace_machine}
+    turns its [spend] and [count] calls into spans and instants on the
+    machine's ["cpu"] track, and an engine observer
     ({!Armvirt_engine.Sim.set_observer}) records process spawns, blocked
     intervals, resource contention and mailbox depths on per-process
     tracks. {!record_cells} then merges finished cells back {e in input
     order}, so exported traces are byte-identical at any [--jobs]
     level. *)
+
+(** {1 Tracing one machine} *)
+
+val trace_machine :
+  ?metrics:Armvirt_obs.Metrics.t ->
+  ?prefix:string ->
+  Armvirt_obs.Tracer.t ->
+  Armvirt_arch.Machine.t ->
+  unit
+(** [trace_machine tracer m] fills [m]'s spend and count observer slots
+    ({!Armvirt_arch.Machine.observe}, {!Armvirt_arch.Machine.observe_count}):
+    every [spend] becomes a complete span and every [count] an instant
+    on the [prefix ^ "cpu"] track (default prefix [""]), categorised
+    with {!Armvirt_obs.Span.of_label}. With [metrics], each spend also
+    adds its cycles to [spend_cycles_total{category}]. Replaces any
+    observers already installed; clear both slots with [None] to stop.
+    The session, the stat crosscheck and [armvirt timeline] all record
+    through this one wiring. *)
+
+val pp_ledger : Format.formatter -> Armvirt_obs.Span.event list -> unit
+(** The Table III-style ledger of a {!trace_machine} recording: one line
+    per complete span on the ["cpu"] track, in recording order, with its
+    completion time, its cost in cycles and its label. *)
+
+(** {1 Sessions} *)
 
 type cell = {
   label : string;  (** ["<context>#<map>.<index>"], from the runner. *)

@@ -641,28 +641,12 @@ let pp_migrate_rounds ppf rows =
 
 (* --- generic machine-readable tables --------------------------------- *)
 
-(* CSV per RFC 4180: fields containing separators, quotes or newlines are
-   quoted, embedded quotes doubled. lib/explore's sweep reports go
-   through these two emitters so every exploration artifact renders the
-   same way the paper tables do — in one place. *)
-let csv_field s =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  in
-  if not needs_quoting then s
-  else begin
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string b "\"\"" else Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-  end
-
+(* CSV per RFC 4180 (Armvirt_obs.Codec.csv_field). lib/explore's sweep
+   reports go through these two emitters so every exploration artifact
+   renders the same way the paper tables do — in one place. *)
 let pp_csv_row ppf cells =
-  Format.fprintf ppf "%s@." (String.concat "," (List.map csv_field cells))
+  Format.fprintf ppf "%s@."
+    (String.concat "," (List.map Armvirt_obs.Codec.csv_field cells))
 
 let pp_csv_table ppf ~header rows =
   pp_csv_row ppf header;

@@ -16,6 +16,8 @@
    the attribution is deterministic even if not always the historically
    "same" site, which is the price of line-independence. *)
 
+module Codec = Armvirt_obs.Codec
+
 type entry = { file : string; rule : Rules.id; count : int }
 
 type t = entry list (* sorted by (file, rule) *)
@@ -99,125 +101,65 @@ let render (t : t) =
       Buffer.add_string buf
         (Printf.sprintf "\n    { \"file\": \"%s\", \"rule\": \"%s\", \
                          \"count\": %d }"
-           e.file (Rules.to_string e.rule) e.count))
+           (Codec.escape_json e.file) (Rules.to_string e.rule) e.count))
     t;
   if t <> [] then Buffer.add_string buf "\n  ";
   Buffer.add_string buf "]\n}\n";
   Buffer.contents buf
 
 (* --- parsing ---------------------------------------------------------- *)
-(* A strict recursive-descent parser for exactly the schema [render]
-   emits (whitespace-insensitive). No escapes are needed: files are
-   repo-relative source paths. *)
-
-exception Bad of string
+(* A decoder over the shared JSON parser: every key [render] writes is
+   required, the version must match, rules must be known and counts
+   non-negative integers. *)
 
 let parse (s : string) : (t, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
+  let ( let* ) = Result.bind in
+  let obj what = function
+    | Codec.Obj kvs -> Ok kvs
+    | _ -> Error (what ^ ": expected an object")
   in
-  let expect c =
-    skip_ws ();
-    if !pos < n && s.[!pos] = c then incr pos
-    else raise (Bad (Printf.sprintf "expected %c at offset %d" c !pos))
+  let field kvs key =
+    match List.assoc_opt key kvs with
+    | Some v -> Ok v
+    | None -> Error ("missing key " ^ key)
   in
-  let peek () =
-    skip_ws ();
-    if !pos < n then Some s.[!pos] else None
+  let int_field kvs key =
+    match field kvs key with
+    | Ok (Codec.Num f) when Float.is_integer f -> Ok (int_of_float f)
+    | Ok _ -> Error (key ^ ": expected an integer")
+    | Error e -> Error e
   in
-  let string_ () =
-    expect '"';
-    let start = !pos in
-    while !pos < n && s.[!pos] <> '"' do
-      if s.[!pos] = '\\' then raise (Bad "escapes not supported");
-      incr pos
-    done;
-    if !pos >= n then raise (Bad "unterminated string");
-    let v = String.sub s start (!pos - start) in
-    incr pos;
-    v
-  in
-  let int_ () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n && (match s.[!pos] with '0' .. '9' | '-' -> true | _ -> false)
-    do
-      incr pos
-    done;
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "expected integer at offset %d" start))
-  in
-  let key () =
-    let k = string_ () in
-    expect ':';
-    k
-  in
-  let entry () =
-    expect '{';
-    let file = ref None and rule = ref None and count = ref None in
-    let rec fields () =
-      (match key () with
-      | "file" -> file := Some (string_ ())
-      | "rule" -> rule := Some (string_ ())
-      | "count" -> count := Some (int_ ())
-      | k -> raise (Bad ("unknown entry key " ^ k)));
-      match peek () with
-      | Some ',' ->
-          incr pos;
-          fields ()
-      | _ -> expect '}'
-    in
-    fields ();
-    match (!file, !rule, !count) with
-    | Some file, Some rule_s, Some count -> (
+  let entry j =
+    let* kvs = obj "entry" j in
+    let* file = field kvs "file" in
+    let* rule = field kvs "rule" in
+    let* count = int_field kvs "count" in
+    match (file, rule) with
+    | Codec.Str file, Codec.Str rule_s -> (
         match Rules.of_string rule_s with
-        | Some rule when count >= 0 -> { file; rule; count }
-        | Some _ -> raise (Bad "negative count")
-        | None -> raise (Bad ("unknown rule " ^ rule_s)))
-    | _ -> raise (Bad "entry missing file/rule/count")
+        | None -> Error ("unknown rule " ^ rule_s)
+        | Some _ when count < 0 -> Error "negative count"
+        | Some rule -> Ok { file; rule; count })
+    | _ -> Error "entry: file and rule must be strings"
   in
-  try
-    expect '{';
-    (match key () with
-    | "version" ->
-        let v = int_ () in
-        if v <> version then
-          raise (Bad (Printf.sprintf "unsupported baseline version %d" v))
-    | k -> raise (Bad ("expected version, got " ^ k)));
-    expect ',';
-    (match key () with
-    | "entries" -> ()
-    | k -> raise (Bad ("expected entries, got " ^ k)));
-    expect '[';
-    let entries =
-      match peek () with
-      | Some ']' ->
-          incr pos;
-          []
-      | _ ->
-          let rec loop acc =
-            let e = entry () in
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                loop (e :: acc)
-            | _ ->
-                expect ']';
-                List.rev (e :: acc)
-          in
-          loop []
-    in
-    expect '}';
-    Ok (List.sort compare_entry entries)
-  with Bad msg -> Error msg
+  let* doc = Codec.parse_json s in
+  let* top = obj "baseline" doc in
+  let* v = int_field top "version" in
+  if v <> version then Error (Printf.sprintf "unsupported baseline version %d" v)
+  else
+    let* entries = field top "entries" in
+    match entries with
+    | Codec.Arr l ->
+        let* entries =
+          List.fold_right
+            (fun j acc ->
+              let* acc = acc in
+              let* e = entry j in
+              Ok (e :: acc))
+            l (Ok [])
+        in
+        Ok (List.sort compare_entry entries)
+    | _ -> Error "entries: expected an array"
 
 let load path =
   match open_in_bin path with

@@ -42,5 +42,8 @@ val render : t -> string
 (** Stable JSON, byte-identical for equal inputs. *)
 
 val parse : string -> (t, string) result
+(** Decodes {!Armvirt_obs.Codec.parse_json}'s value. [Error] on
+    malformed JSON, a version other than {!version}, an unknown rule, a
+    negative or non-integer count, or a missing key. *)
 
 val load : string -> (t, string) result

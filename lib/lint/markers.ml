@@ -24,6 +24,7 @@
 open Parsetree
 module Esr = Armvirt_arch.Esr
 module Accounting = Armvirt_obs.Accounting
+module Codec = Armvirt_obs.Codec
 
 let esr_reasons = List.map Esr.short_name Esr.all
 
@@ -91,12 +92,6 @@ let wire_op_ok op =
       | None -> false)
   | _ -> false
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i j = j = nn || (hay.[i + j] = needle.[j] && at i (j + 1)) in
-  let rec go i = i + nn <= nh && (at i 0 || go (i + 1)) in
-  nn = 0 || go 0
-
 let check_label_text label : string option =
   let label = neutralize_holes label in
   match Accounting.parse_label label with
@@ -137,7 +132,7 @@ let check_label_text label : string option =
              "marker %S: wire counter must be 'wire.<name>-u<id>/(rx|tx)'"
              label)
   | Some (Accounting.Op { hyp; op }) ->
-      if contains_sub op "exit" || contains_sub op "entry" then
+      if Codec.contains op "exit" || Codec.contains op "entry" then
         Some
           (Printf.sprintf
              "marker %S parses as an op, not an exit/entry: expected \

@@ -39,6 +39,7 @@
    [(* lint: unit <u> <reason> *)] marker. *)
 
 open Parsetree
+module Codec = Armvirt_obs.Codec
 
 type unit_ = Unit of string | Unitless | Unknown
 
@@ -52,15 +53,9 @@ let known_suffixes =
 
 let is_known u = List.mem u known_suffixes
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i j = j = nn || (hay.[i + j] = needle.[j] && at i (j + 1)) in
-  let rec go i = i + nn <= nh && (at i 0 || go (i + 1)) in
-  nn = 0 || go 0
-
 (* Unit of a bare name: last '_'-separated token, rates excluded. *)
 let name_unit name =
-  if contains_sub name "_per_" || contains_sub name "per_" then None
+  if Codec.contains name "_per_" || Codec.contains name "per_" then None
   else
     match List.rev (String.split_on_char '_' name) with
     | last :: _ when is_known last -> Some last

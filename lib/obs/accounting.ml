@@ -99,15 +99,9 @@ let lane_to_string = function Guest -> "guest" | Hypervisor -> "hypervisor"
 let guest_needles =
   [ "vm_processing"; "native_server"; "guest"; "virq_complete"; "eoi_vapic" ]
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i j = j = nn || (haystack.[i + j] = needle.[j] && at i (j + 1)) in
-  let rec go i = i + nn <= nh && (at i 0 || go (i + 1)) in
-  nn = 0 || go 0
-
 let lane_of_label label =
-  if List.exists (contains (String.lowercase_ascii label)) guest_needles then
-    Guest
+  let label = String.lowercase_ascii label in
+  if List.exists (Codec.contains label) guest_needles then Guest
   else Hypervisor
 
 (* Reduction. *)

@@ -1,0 +1,186 @@
+type json =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+exception Parse_error of string
+
+(* Deep enough for any document armvirt writes, shallow enough that a
+   hostile "[[[[..." cannot exhaust the stack. *)
+let max_depth = 512
+
+let parse_json s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let rec skip_ws () =
+    match peek () with
+    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected '%c'" c)
+  in
+  let literal word value =
+    let w = String.length word in
+    if !pos + w <= n && String.sub s !pos w = word then begin
+      pos := !pos + w;
+      value
+    end
+    else fail (Printf.sprintf "expected '%s'" word)
+  in
+  let hex_digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail "bad \\u escape"
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | None -> fail "unterminated string"
+      | Some '"' -> advance (); Buffer.contents buf
+      | Some '\\' -> (
+          advance ();
+          match peek () with
+          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
+          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
+          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
+          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
+          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
+          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
+          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
+          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
+          | Some 'u' ->
+              advance ();
+              if !pos + 4 > n then fail "bad \\u escape";
+              let code = ref 0 in
+              for i = 0 to 3 do
+                code := (!code lsl 4) lor hex_digit s.[!pos + i]
+              done;
+              let code = !code in
+              pos := !pos + 4;
+              (* Decode the BMP code point as UTF-8. *)
+              if code < 0x80 then Buffer.add_char buf (Char.chr code)
+              else if code < 0x800 then begin
+                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+              else begin
+                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                Buffer.add_char buf
+                  (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end;
+              go ()
+          | _ -> fail "bad escape")
+      | Some c -> advance (); Buffer.add_char buf c; go ()
+    in
+    go ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let num_char c =
+      (c >= '0' && c <= '9')
+      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    in
+    while (match peek () with Some c when num_char c -> true | _ -> false) do
+      advance ()
+    done;
+    if !pos = start then fail "expected number";
+    match float_of_string_opt (String.sub s start (!pos - start)) with
+    | Some f -> f
+    | None -> fail "malformed number"
+  in
+  let rec parse_value depth =
+    if depth > max_depth then fail "nesting too deep";
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin advance (); Obj [] end
+        else begin
+          let rec members acc =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value (depth + 1) in
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); members ((key, v) :: acc)
+            | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
+            | _ -> fail "expected ',' or '}'"
+          in
+          members []
+        end
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin advance (); Arr [] end
+        else begin
+          let rec elements acc =
+            let v = parse_value (depth + 1) in
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); elements (v :: acc)
+            | Some ']' -> advance (); Arr (List.rev (v :: acc))
+            | _ -> fail "expected ',' or ']'"
+          in
+          elements []
+        end
+    | Some '"' -> Str (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some _ -> Num (parse_number ())
+  in
+  match
+    let v = parse_value 0 in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Parse_error msg -> Error msg
+
+let escape_json s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* CR matters: a label with an embedded "\r\n" written unquoted splits
+   the row on Windows-style readers. *)
+let csv_field s =
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  else s
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec at i j = j = nn || (haystack.[i + j] = needle.[j] && at i (j + 1)) in
+  let rec go i = i + nn <= nh && (at i 0 || go (i + 1)) in
+  nn = 0 || go 0

@@ -5,22 +5,6 @@ type process = {
   dropped : int;
 }
 
-let escape_json s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Stable event order for rendering: by start time, then longer spans
    first (so nested spans follow their parents at equal starts), then
    recording order. Exporter output is a pure function of the event
@@ -55,14 +39,14 @@ let chrome ppf processes =
       emit
         (Printf.sprintf
            "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":\"%s\",\"dropped_events\":%d}}"
-           p.pid (escape_json p.name) p.dropped);
+           p.pid (Codec.escape_json p.name) p.dropped);
       let tids = tids p.events in
       List.iter
         (fun (track, tid) ->
           emit
             (Printf.sprintf
                "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-               p.pid tid (escape_json track)))
+               p.pid tid (Codec.escape_json track)))
         tids;
       List.iter
         (fun e ->
@@ -72,7 +56,7 @@ let chrome ppf processes =
               "\"pid\":%d,\"tid\":%d,\"ts\":%d,\"cat\":\"%s\",\"name\":\"%s\""
               p.pid tid e.Span.ts
               (Span.category_to_string e.Span.cat)
-              (escape_json e.Span.name)
+              (Codec.escape_json e.Span.name)
           in
           emit
             (match e.Span.kind with
@@ -86,14 +70,6 @@ let chrome ppf processes =
         (ordered p.events))
     processes;
   Format.fprintf ppf "@.],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles (1 exported us = 1 cycle)\"}}@."
-
-(* RFC 4180: quote a field containing a comma, quote, LF or CR, doubling
-   embedded quotes. CR matters: a label with an embedded "\r\n" written
-   unquoted splits the row on Windows-style readers. *)
-let escape_csv s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
 
 let csv ppf processes =
   Format.fprintf ppf "pid,process,tid,track,ts,dur,cat,name,value@.";
@@ -109,11 +85,11 @@ let csv ppf processes =
             | Span.Value v -> ("", string_of_int v)
           in
           Format.fprintf ppf "%d,%s,%d,%s,%d,%s,%s,%s,%s@." p.pid
-            (escape_csv p.name)
+            (Codec.csv_field p.name)
             (List.assoc e.Span.track tids)
-            (escape_csv e.Span.track) e.Span.ts dur
+            (Codec.csv_field e.Span.track) e.Span.ts dur
             (Span.category_to_string e.Span.cat)
-            (escape_csv e.Span.name) value)
+            (Codec.csv_field e.Span.name) value)
         (ordered p.events))
     processes
 

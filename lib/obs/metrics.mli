@@ -52,13 +52,9 @@ val merge_into : dst:t -> t -> unit
 (** Adds the source's counters and histogram contents into [dst];
     gauges overwrite. Deterministic given deterministic inputs. *)
 
-(** {1 Rendering — both deterministically sorted} *)
+(** {1 Rendering — deterministically sorted} *)
 
 val pp_prometheus : Format.formatter -> t -> unit
 (** Prometheus text exposition format: [# TYPE] per family, histograms
     with cumulative [le] buckets, [+Inf], [_sum] and [_count]. Names are
     sanitized to the Prometheus charset. *)
-
-val pp_json : Format.formatter -> t -> unit
-(** A JSON document with ["counters"], ["gauges"] and ["histograms"]
-    arrays. *)

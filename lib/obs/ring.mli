@@ -1,11 +1,11 @@
 (** Growable-array ring buffer with an optional retention cap.
 
-    The recording substrate for {!Tracer} (and {!Armvirt_stats.Trace}):
-    O(1) amortized {!push}, O(1) {!length}, chronological {!to_list}.
-    Uncapped rings grow by doubling; capped rings overwrite the oldest
-    element once full and count the overwrites in {!dropped}, so a trace
-    that outgrows its budget degrades into "most recent N events" rather
-    than unbounded memory or silent truncation. *)
+    The recording substrate for {!Tracer}: O(1) amortized {!push},
+    O(1) {!length}, chronological {!to_list}. Uncapped rings grow by
+    doubling; capped rings overwrite the oldest element once full and
+    count the overwrites in {!dropped}, so a trace that outgrows its
+    budget degrades into "most recent N events" rather than unbounded
+    memory or silent truncation. *)
 
 type 'a t
 
@@ -22,14 +22,6 @@ val length : 'a t -> int
 
 val dropped : 'a t -> int
 (** Elements overwritten because the ring was at capacity. *)
-
-val capacity : 'a t -> int option
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Oldest first. *)
 
 val to_list : 'a t -> 'a list
 (** Oldest first (chronological for a tracer pushing in time order). *)

@@ -34,12 +34,6 @@ let category_of_string = function
   | "other" -> Some Other
   | _ -> None
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i j = j = nn || (haystack.[i + j] = needle.[j] && at i (j + 1)) in
-  let rec go i = i + nn <= nh && (at i 0 || go (i + 1)) in
-  nn = 0 || go 0
-
 (* First-match classification of the cost-model labels priced through
    Machine.spend ("kvm_arm.vcpu_resume", "netperf.host_rx_path", ...).
    Rules are ordered: world-switch costs beat trap costs beat interrupt
@@ -75,7 +69,7 @@ let rules =
 
 let of_label label =
   let label = String.lowercase_ascii label in
-  let matches (_, needles) = List.exists (contains label) needles in
+  let matches (_, needles) = List.exists (Codec.contains label) needles in
   match List.find_opt matches rules with
   | Some (cat, _) -> cat
   | None -> Other
@@ -91,13 +85,3 @@ type event = {
 }
 
 let duration e = match e.kind with Complete d -> d | Instant | Value _ -> 0
-
-let pp_event ppf e =
-  let kind =
-    match e.kind with
-    | Complete d -> Printf.sprintf "dur=%d" d
-    | Instant -> "instant"
-    | Value v -> Printf.sprintf "value=%d" v
-  in
-  Format.fprintf ppf "@%d [%s/%s] %s (%s)" e.ts e.track
-    (category_to_string e.cat) e.name kind

@@ -37,19 +37,7 @@ val render_json :
     "hypervisor"}}], "totals"}]. ["per_domain"] appears only with
     [opts.per_domain] set and at least one domain-tagged entry. *)
 
-(** {1 JSON parsing and diffing} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse_json : string -> (json, string) result
-(** A minimal strict JSON parser (sufficient for the documents this
-    module emits; no dependency on an external JSON library). *)
+(** {1 Diffing} *)
 
 type thresholds = {
   count_pct : float;

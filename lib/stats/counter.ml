@@ -11,15 +11,9 @@ let add set name n =
 let incr set name = add set name 1
 let add_cycles set name c = add set name (Cycles.to_int c)
 let get set name = Option.value ~default:0 (Hashtbl.find_opt set name)
-let get_cycles set name = Cycles.of_int (get set name)
 
 let names set =
   Hashtbl.fold (fun name _ acc -> name :: acc) set []
   |> List.sort String.compare
 
 let reset = Hashtbl.reset
-
-let pp ppf set =
-  List.iter
-    (fun name -> Format.fprintf ppf "%-40s %12d@." name (get set name))
-    (names set)

@@ -17,11 +17,7 @@ val add_cycles : set -> string -> Armvirt_engine.Cycles.t -> unit
 val get : set -> string -> int
 (** 0 for a counter never touched. *)
 
-val get_cycles : set -> string -> Armvirt_engine.Cycles.t
-
 val names : set -> string list
 (** All touched counters, sorted. *)
 
 val reset : set -> unit
-
-val pp : Format.formatter -> set -> unit

@@ -68,7 +68,3 @@ let ci95 s =
 
 let median_cycles s =
   Cycles.of_int (int_of_float (Float.round (median s)))
-
-let pp ppf s =
-  Format.fprintf ppf "n=%d median=%.1f mean=%.1f sd=%.1f min=%.1f max=%.1f"
-    (count s) (median s) (mean s) (stddev s) (min s) (max s)

@@ -39,5 +39,3 @@ val ci95 : t -> float * float
 
 val median_cycles : t -> Armvirt_engine.Cycles.t
 (** Median rounded to a whole cycle count, for table rendering. *)
-
-val pp : Format.formatter -> t -> unit

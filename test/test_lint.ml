@@ -407,6 +407,52 @@ let test_baseline_round_trip () =
   | Ok _ -> Alcotest.fail "empty baseline grew entries"
   | Error e -> Alcotest.fail ("empty baseline unparseable: " ^ e)
 
+let test_baseline_rejections () =
+  List.iter
+    (fun (what, doc) ->
+      match Baseline.parse doc with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("wrong version", {|{ "version": 2, "entries": [] }|});
+      ("missing version", {|{ "entries": [] }|});
+      ("missing entries", {|{ "version": 1 }|});
+      ( "unknown rule",
+        {|{ "version": 1, "entries": [ { "file": "a", "rule": "ZZ", "count": 1 } ] }|}
+      );
+      ( "negative count",
+        {|{ "version": 1, "entries": [ { "file": "a", "rule": "R1", "count": -1 } ] }|}
+      );
+      ( "fractional count",
+        {|{ "version": 1, "entries": [ { "file": "a", "rule": "R1", "count": 1.5 } ] }|}
+      );
+      ( "missing count",
+        {|{ "version": 1, "entries": [ { "file": "a", "rule": "R1" } ] }|} );
+      ( "bad escape",
+        {|{ "version": 1, "entries": [ { "file": "\uZZZZ", "rule": "R1", "count": 1 } ] }|}
+      );
+      ("truncated", {|{ "version": 1, "entries": [|});
+    ]
+
+(* Any (file, rule)-keyed entry list survives render -> parse, file names
+   with quotes, backslashes and control bytes included. *)
+let prop_baseline_round_trip =
+  let entry =
+    QCheck.Gen.(
+      map3
+        (fun file rule count -> { Baseline.file; rule; count })
+        (string_size ~gen:char (0 -- 12))
+        (oneofl Rules.all) nat)
+  in
+  let key (e : Baseline.entry) = (e.Baseline.file, Rules.to_string e.rule) in
+  QCheck.Test.make ~count:300 ~name:"render/parse round trip (random entries)"
+    (QCheck.make QCheck.Gen.(list_size (0 -- 8) entry))
+    (fun entries ->
+      let base =
+        List.sort_uniq (fun a b -> compare (key a) (key b)) entries
+      in
+      Baseline.parse (Baseline.render base) = Ok base)
+
 (* --- report formats --------------------------------------------------- *)
 
 let fixture_report () =
@@ -614,6 +660,8 @@ let () =
           Alcotest.test_case "ratchet semantics" `Quick test_baseline_ratchet;
           Alcotest.test_case "render/parse round trip" `Quick
             test_baseline_round_trip;
+          Alcotest.test_case "parse rejections" `Quick test_baseline_rejections;
+          QCheck_alcotest.to_alcotest prop_baseline_round_trip;
         ] );
       ( "report",
         [

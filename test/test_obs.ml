@@ -80,36 +80,106 @@ let test_span_category_roundtrip () =
 
 (* --- Tracer -------------------------------------------------------- *)
 
+(* A span nested in another finishes first, so it is recorded first;
+   the exporter still puts the parent before its child. *)
 let test_tracer_nesting () =
   let t = Tracer.create () in
-  Tracer.begin_span t ~track:"p" ~cat:Span.Sched ~name:"outer" ~ts:10;
-  Tracer.begin_span t ~track:"p" ~cat:Span.Io ~name:"inner" ~ts:20;
-  Alcotest.(check int) "two open" 2 (Tracer.open_spans t ~track:"p");
-  Tracer.end_span t ~track:"p" ~ts:30;
-  Tracer.end_span t ~track:"p" ~ts:50;
-  Alcotest.(check int) "closed" 0 (Tracer.open_spans t ~track:"p");
-  match Tracer.events t with
-  | [ inner; outer ] ->
-      Alcotest.(check string) "inner first (completion order)" "inner"
-        inner.Span.name;
-      Alcotest.(check int) "inner dur" 10 (Span.duration inner);
-      Alcotest.(check int) "outer ts" 10 outer.Span.ts;
-      Alcotest.(check int) "outer dur" 40 (Span.duration outer)
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
-
-let test_tracer_end_without_begin () =
-  let t = Tracer.create () in
-  Alcotest.check_raises "unbalanced end"
-    (Invalid_argument "Tracer.end_span: no open span on track \"p\"")
-    (fun () -> Tracer.end_span t ~track:"p" ~ts:1)
+  Tracer.complete t ~track:"p" ~cat:Span.Io ~name:"inner" ~ts:20 ~dur:10;
+  Tracer.complete t ~track:"p" ~cat:Span.Sched ~name:"outer" ~ts:10 ~dur:40;
+  Alcotest.(check (list string)) "recording order (completion)"
+    [ "inner"; "outer" ]
+    (List.map (fun e -> e.Span.name) (Tracer.events t));
+  let rows =
+    Format.asprintf "%a" Export.csv
+      [ { Export.pid = 0; name = "c"; events = Tracer.events t; dropped = 0 } ]
+    |> String.split_on_char '\n'
+  in
+  Alcotest.(check (list string)) "exported parent first"
+    [ "0,c,1,p,10,40,sched,outer,"; "0,c,1,p,20,10,io,inner," ]
+    [ List.nth rows 1; List.nth rows 2 ]
 
 let test_tracer_tracks_are_independent () =
   let t = Tracer.create () in
-  Tracer.begin_span t ~track:"a" ~cat:Span.Sched ~name:"x" ~ts:0;
-  Tracer.begin_span t ~track:"b" ~cat:Span.Sched ~name:"y" ~ts:5;
-  Tracer.end_span t ~track:"a" ~ts:7;
-  Alcotest.(check int) "b still open" 1 (Tracer.open_spans t ~track:"b");
-  Alcotest.(check int) "a closed" 0 (Tracer.open_spans t ~track:"a")
+  Tracer.complete t ~track:"a" ~cat:Span.Sched ~name:"x" ~ts:0 ~dur:7;
+  Tracer.instant t ~track:"b" ~cat:Span.Sched ~name:"y" ~ts:5;
+  Tracer.complete t ~track:"a" ~cat:Span.Sched ~name:"z" ~ts:7 ~dur:1;
+  let on track =
+    List.filter_map
+      (fun e -> if e.Span.track = track then Some e.Span.name else None)
+      (Tracer.events t)
+  in
+  Alcotest.(check (list string)) "track a" [ "x"; "z" ] (on "a");
+  Alcotest.(check (list string)) "track b" [ "y" ] (on "b")
+
+(* --- Trace: a machine's spends through Observe.trace_machine -------- *)
+
+let test_trace_records_spends () =
+  let sim = Sim.create () in
+  let machine =
+    Machine.create sim
+      ~cost:(Armvirt_arch.Cost_model.Arm Armvirt_arch.Cost_model.arm_default)
+      ~num_cpus:2
+  in
+  let tracer = Tracer.create () in
+  Observe.trace_machine tracer machine;
+  Sim.spawn sim ~name:"worker" (fun () ->
+      Machine.spend machine "step.a" 100;
+      Machine.count machine "marker";
+      Machine.spend machine "step.b" 50;
+      Machine.spend machine "step.a" 25);
+  Sim.run sim;
+  let events = Tracer.events tracer in
+  Alcotest.(check (list (pair string int))) "spans and instants, in order"
+    [ ("step.a", 0); ("marker", 100); ("step.b", 100); ("step.a", 150) ]
+    (List.map (fun e -> (e.Span.name, e.Span.ts)) events);
+  Alcotest.(check string) "ledger"
+    "         100  +100    step.a\n\
+    \         150  +50     step.b\n\
+    \         175  +25     step.a\n"
+    (Format.asprintf "%a" Observe.pp_ledger events);
+  (* Clearing both slots stops recording. *)
+  Machine.observe machine None;
+  Machine.observe_count machine None;
+  Sim.spawn sim ~name:"worker2" (fun () ->
+      Machine.spend machine "step.c" 10;
+      Machine.count machine "marker");
+  Sim.run sim;
+  Alcotest.(check int) "no longer recording" 4
+    (List.length (Tracer.events tracer))
+
+(* [events] must stay chronological and preserve recording order
+   exactly, even for many events with identical timestamps. *)
+let test_trace_events_chronological () =
+  let t = Tracer.create () in
+  for i = 0 to 999 do
+    Tracer.complete t ~track:"cpu" ~cat:Span.Other
+      ~name:(Printf.sprintf "op%d" i) ~ts:7 ~dur:1
+  done;
+  Alcotest.(check (list string)) "recording order preserved"
+    (List.init 1000 (Printf.sprintf "op%d"))
+    (List.map (fun e -> e.Span.name) (Tracer.events t))
+
+let test_trace_by_label_tie_break () =
+  let t = Tracer.create () in
+  (* Recorded in an order a Hashtbl fold would not preserve: equal
+     totals must come out sorted by label. *)
+  List.iter
+    (fun name ->
+      Tracer.complete t ~track:"cpu" ~cat:Span.Other ~name ~ts:0 ~dur:10)
+    [ "zeta"; "alpha"; "mid" ];
+  let out =
+    Format.asprintf "%a" Export.summary
+      [ { Export.pid = 0; name = "c"; events = Tracer.events t; dropped = 0 } ]
+  in
+  let rows =
+    String.split_on_char '\n' out
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' (String.trim l) with
+           | name :: _ when List.mem name [ "alpha"; "mid"; "zeta" ] -> Some name
+           | _ -> None)
+  in
+  Alcotest.(check (list string)) "ties sorted by label"
+    [ "alpha"; "mid"; "zeta" ] rows
 
 (* --- Metrics: histogram bucket boundaries -------------------------- *)
 
@@ -146,6 +216,34 @@ let test_histogram_huge_values_saturate () =
   Metrics.observe m "h" 1e30;
   Alcotest.(check (list (pair (float 0.0) int)))
     "top bucket" [ (4.611686018427387904e18, 1) ] (hist_buckets m "h")
+
+(* The registry's histograms are the one histogram type left: a
+   rejected observation leaves no trace, and every accepted one lands in
+   exactly one bucket. *)
+let test_histogram_errors () =
+  let m = Metrics.create () in
+  Metrics.observe m "h" 3.0;
+  Alcotest.check_raises "negative observation"
+    (Invalid_argument "Metrics.observe: negative observation") (fun () ->
+      Metrics.observe m "h" (-0.5));
+  match Metrics.histogram m "h" with
+  | Some h ->
+      Alcotest.(check int) "rejected value not counted" 1 h.Metrics.count;
+      Alcotest.(check (float 0.0)) "nor summed" 3.0 h.Metrics.sum
+  | None -> Alcotest.fail "histogram missing"
+
+let prop_histogram_total =
+  QCheck.Test.make ~name:"histogram count equals additions"
+    QCheck.(list (float_bound_inclusive 1e6))
+    (fun values ->
+      let m = Metrics.create () in
+      List.iter (Metrics.observe m "h") values;
+      match Metrics.histogram m "h" with
+      | None -> values = []
+      | Some h ->
+          h.Metrics.count = List.length values
+          && List.fold_left (fun acc (_, n) -> acc + n) 0 h.Metrics.buckets
+             = List.length values)
 
 (* --- Metrics: counters, gauges, merge ------------------------------ *)
 
@@ -248,27 +346,6 @@ let test_label_value_order_canonical () =
        go 0
      in
      find {|"alpha"|} < find {|"beta"|} && find {|"alpha"|} >= 0)
-
-let test_json_snapshot_golden () =
-  let m = Metrics.create () in
-  Metrics.incr m ~by:3 ~labels:[ ("k", "v") ] "c";
-  Metrics.set_gauge m "g" 0.5;
-  Metrics.observe m "h" 2.0;
-  let golden =
-    "{\n\
-     \  \"counters\": [\n\
-     \    {\"name\":\"c\",\"labels\":{\"k\":\"v\"},\"value\":3}\n\
-     \  ],\n\
-     \  \"gauges\": [\n\
-     \    {\"name\":\"g\",\"labels\":{},\"value\":0.5}\n\
-     \  ],\n\
-     \  \"histograms\": [\n\
-     \    {\"name\":\"h\",\"labels\":{},\"count\":1,\"sum\":2.0,\"buckets\":[{\"le\":2,\"count\":1}]}\n\
-     \  ]\n\
-     }\n"
-  in
-  Alcotest.(check string) "json output" golden
-    (Format.asprintf "%a" Metrics.pp_json m)
 
 (* --- Golden: Chrome trace JSON ------------------------------------- *)
 
@@ -515,11 +592,20 @@ let () =
       ( "tracer",
         [
           Alcotest.test_case "nesting" `Quick test_tracer_nesting;
-          Alcotest.test_case "end without begin" `Quick
-            test_tracer_end_without_begin;
           Alcotest.test_case "tracks independent" `Quick
             test_tracer_tracks_are_independent;
         ] );
+      ( "trace",
+        [
+          Alcotest.test_case "records spends" `Quick test_trace_records_spends;
+          Alcotest.test_case "events chronological" `Quick
+            test_trace_events_chronological;
+          Alcotest.test_case "by_label tie-break" `Quick
+            test_trace_by_label_tie_break;
+        ] );
+      ( "histogram",
+        [ Alcotest.test_case "errors" `Quick test_histogram_errors ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_histogram_total ] );
       ( "metrics",
         [
           Alcotest.test_case "histogram boundaries" `Quick
@@ -534,7 +620,6 @@ let () =
             test_prometheus_label_order_irrelevant;
           Alcotest.test_case "label value order canonical" `Quick
             test_label_value_order_canonical;
-          Alcotest.test_case "json golden" `Quick test_json_snapshot_golden;
         ] );
       ( "export",
         [

@@ -1,12 +1,14 @@
 (* `armvirt stat` and its accounting layer: marker grammar, exit/entry
    pairing, lane attribution, renderer golden output, jobs-invariance,
-   RFC 4180 CSV escaping, the trace-vs-analytic crosscheck, and the
-   snapshot diff used for regression gating. *)
+   RFC 4180 CSV escaping, the trace-vs-analytic crosscheck, the
+   snapshot diff used for regression gating, and the JSON/CSV codec
+   they all share. *)
 
 module Span = Armvirt_obs.Span
 module Export = Armvirt_obs.Export
 module Accounting = Armvirt_obs.Accounting
 module Stat = Armvirt_obs.Stat
+module Codec = Armvirt_obs.Codec
 module Observe = Armvirt_core.Observe
 module Runner = Armvirt_core.Runner
 module Platform = Armvirt_core.Platform
@@ -148,7 +150,7 @@ let golden_json =
 let test_golden_json () =
   let got = render (Stat.render_json ~context:"golden") in
   Alcotest.(check string) "armvirt.stat/v1 golden" golden_json got;
-  match Stat.parse_json got with
+  match Codec.parse_json got with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "golden JSON does not re-parse: %s" e
 
@@ -230,7 +232,7 @@ let contains_substring haystack needle =
 let test_per_domain_golden () =
   let got = render_process ~opts:per_domain_opts fleet_process in
   Alcotest.(check string) "per-domain golden" fleet_golden_json got;
-  (match Stat.parse_json got with
+  (match Codec.parse_json got with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "per-domain golden does not re-parse: %s" e);
   (* Without the opt-in, the document must not grow the member — the
@@ -392,6 +394,133 @@ let test_diff () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed input should be an Error"
 
+(* --- the shared codec ------------------------------------------------- *)
+
+let never_raises s =
+  match Codec.parse_json s with Ok _ | Error _ -> true
+
+let test_bad_escapes () =
+  List.iter
+    (fun doc ->
+      match Codec.parse_json doc with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %S" doc)
+    [
+      {|"\uZZZZ"|}; {|"\u12"|}; {|"\u00g0"|}; {|"\u+123"|}; {|"\u_123"|};
+      {|"\q"|};
+      (* Well-formed but nested past the parser's depth cap. *)
+      String.make 600 '[' ^ String.make 600 ']';
+    ];
+  Alcotest.(check bool) "\\u escapes decode" true
+    (Codec.parse_json {|"\u0041\u00e9\u20ac"|}
+     = Ok (Codec.Str "A\xc3\xa9\xe2\x82\xac"))
+
+let prop_parse_total =
+  (* Bytes drawn mostly from JSON's own alphabet reach deep into the
+     parser; a few arbitrary bytes cover the rest. *)
+  let gen =
+    QCheck.Gen.(
+      string_size (0 -- 40)
+        ~gen:
+          (frequency
+             [
+               (6, oneofl (List.of_seq (String.to_seq {|{}[]":,\u0aZ-1.e+ tfn/|})));
+               (1, char);
+             ]))
+  in
+  QCheck.Test.make ~count:2000 ~name:"parse_json never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    never_raises
+
+let stat_baseline () =
+  let path =
+    Filename.concat (Armvirt_lint.Driver.find_root ()) "STAT_baseline.json"
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* Replace, delete or insert a byte at each of a few positions. *)
+let mutate doc edits =
+  List.fold_left
+    (fun s (op, pos, c) ->
+      let n = String.length s in
+      let i = if n = 0 then 0 else pos mod n in
+      let before = String.sub s 0 i and after = String.sub s i (n - i) in
+      match op with
+      | 0 when n > 0 ->
+          before ^ String.make 1 c ^ String.sub after 1 (String.length after - 1)
+      | 1 when n > 0 ->
+          before ^ String.sub after 1 (String.length after - 1)
+      | _ -> before ^ String.make 1 c ^ after)
+    doc edits
+
+let prop_mutated_baseline () =
+  let doc = stat_baseline () in
+  QCheck.Test.make ~count:1000
+    ~name:"parse_json and diff never raise on mutated STAT_baseline.json"
+    QCheck.(
+      list_of_size Gen.(1 -- 6)
+        (triple (int_bound 2) (int_bound (String.length doc)) char))
+    (fun edits ->
+      let s = mutate doc edits in
+      ignore (Stat.diff doc s);
+      never_raises s)
+
+let prop_escape_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"escape then parse is the identity"
+    QCheck.string
+    (fun s ->
+      Codec.parse_json ("\"" ^ Codec.escape_json s ^ "\"") = Ok (Codec.Str s))
+
+(* A reference RFC 4180 row reader for the round-trip property: a line
+   break or quote outside a quoted field is malformed ([None]). *)
+let parse_csv_row row =
+  let n = String.length row in
+  let field = Buffer.create 16 in
+  let take () =
+    let f = Buffer.contents field in
+    Buffer.clear field;
+    f
+  in
+  let rec plain i acc =
+    if i = n then Some (List.rev (take () :: acc))
+    else
+      match row.[i] with
+      | ',' ->
+          let f = take () in
+          start (i + 1) (f :: acc)
+      | '\n' | '\r' | '"' -> None
+      | c ->
+          Buffer.add_char field c;
+          plain (i + 1) acc
+  and quoted i acc =
+    if i = n then None
+    else if row.[i] = '"' && i + 1 < n && row.[i + 1] = '"' then begin
+      Buffer.add_char field '"';
+      quoted (i + 2) acc
+    end
+    else if row.[i] = '"' then
+      if i + 1 = n || row.[i + 1] = ',' then plain (i + 1) acc else None
+    else begin
+      Buffer.add_char field row.[i];
+      quoted (i + 1) acc
+    end
+  and start i acc =
+    if i < n && row.[i] = '"' then quoted (i + 1) acc else plain i acc
+  in
+  start 0 []
+
+let prop_csv_round_trip =
+  let field =
+    QCheck.Gen.(string_size (0 -- 8) ~gen:(oneofl [ 'a'; ','; '"'; '\n'; '\r'; ' ' ]))
+  in
+  QCheck.Test.make ~count:1000 ~name:"csv_field round-trips , \" LF CR"
+    (QCheck.make
+       ~print:QCheck.Print.(list (Printf.sprintf "%S"))
+       QCheck.Gen.(list_size (1 -- 5) field))
+    (fun fields ->
+      parse_csv_row (String.concat "," (List.map Codec.csv_field fields))
+      = Some fields)
+
 let () =
   Alcotest.run "stat"
     [
@@ -425,4 +554,13 @@ let () =
             test_crosscheck;
         ] );
       ("diff", [ Alcotest.test_case "thresholded diff" `Quick test_diff ]);
+      ( "codec",
+        Alcotest.test_case "bad escapes are errors" `Quick test_bad_escapes
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_parse_total;
+               prop_mutated_baseline ();
+               prop_escape_round_trip;
+               prop_csv_round_trip;
+             ] );
     ]

@@ -1,10 +1,9 @@
-(* Tests for Armvirt_stats: summaries, histograms, counters and the
-   barriered cycle counter. *)
+(* Tests for Armvirt_stats: summaries, counters and the barriered cycle
+   counter. *)
 
 module Cycles = Armvirt_engine.Cycles
 module Sim = Armvirt_engine.Sim
 module Summary = Armvirt_stats.Summary
-module Histogram = Armvirt_stats.Histogram
 module Counter = Armvirt_stats.Counter
 module Cycle_counter = Armvirt_stats.Cycle_counter
 
@@ -102,43 +101,6 @@ let prop_summary_percentile_monotone =
       let s = Summary.of_list values in
       Summary.percentile s lo <= Summary.percentile s hi +. 1e-9)
 
-(* --- Histogram ----------------------------------------------------- *)
-
-let test_histogram_bucketing () =
-  let h = Histogram.create ~bucket_width:10.0 in
-  List.iter (Histogram.add h) [ 0.0; 5.0; 9.9; 10.0; 25.0 ];
-  Alcotest.(check int) "count" 5 (Histogram.count h);
-  Alcotest.(check int) "buckets" 3 (Histogram.bucket_count h);
-  (match Histogram.buckets h with
-  | [ (0.0, 10.0, 3); (10.0, 20.0, 1); (20.0, 30.0, 1) ] -> ()
-  | _ -> Alcotest.fail "unexpected bucket layout")
-
-let test_histogram_mode () =
-  let h = Histogram.create ~bucket_width:1.0 in
-  List.iter (Histogram.add h) [ 1.5; 1.6; 3.2 ];
-  match Histogram.mode_bucket h with
-  | Some (1.0, 2.0, 2) -> ()
-  | _ -> Alcotest.fail "mode should be [1,2) with 2"
-
-let test_histogram_errors () =
-  Alcotest.check_raises "bad width"
-    (Invalid_argument "Histogram.create: non-positive bucket width") (fun () ->
-      ignore (Histogram.create ~bucket_width:0.0));
-  let h = Histogram.create ~bucket_width:1.0 in
-  Alcotest.check_raises "negative observation"
-    (Invalid_argument "Histogram.add: negative observation") (fun () ->
-      Histogram.add h (-1.0))
-
-let prop_histogram_total =
-  QCheck.Test.make ~name:"histogram count equals additions"
-    QCheck.(list (float_bound_inclusive 100.0))
-    (fun values ->
-      let h = Histogram.create ~bucket_width:7.0 in
-      List.iter (Histogram.add h) values;
-      Histogram.count h = List.length values
-      && List.fold_left (fun acc (_, _, n) -> acc + n) 0 (Histogram.buckets h)
-         = List.length values)
-
 (* --- Counter ------------------------------------------------------- *)
 
 let test_counter_accumulation () =
@@ -178,76 +140,6 @@ let test_cycle_counter_read_pays_barrier () =
   Sim.run sim;
   Alcotest.(check int) "barrier consumed simulated time" 24 (Cycles.to_int !t)
 
-(* --- Trace ----------------------------------------------------------- *)
-
-module Trace = Armvirt_stats.Trace
-module Machine = Armvirt_arch.Machine
-module Cost_model = Armvirt_arch.Cost_model
-
-let test_trace_records_spends () =
-  let sim = Sim.create () in
-  let machine =
-    Machine.create sim ~cost:(Cost_model.Arm Cost_model.arm_default)
-      ~num_cpus:2
-  in
-  let trace = Trace.create () in
-  Machine.observe machine
-    (Some (fun ~label ~cycles ~now -> Trace.record trace ~label ~cycles ~now));
-  Sim.spawn sim ~name:"worker" (fun () ->
-      Machine.spend machine "step.a" 100;
-      Machine.spend machine "step.b" 50;
-      Machine.spend machine "step.a" 25);
-  Sim.run sim;
-  Alcotest.(check int) "three events" 3 (Trace.length trace);
-  Alcotest.(check int) "total" 175 (Trace.total_cycles trace);
-  (match Trace.events trace with
-  | [ a; b; c ] ->
-      Alcotest.(check string) "order" "step.a" a.Trace.label;
-      Alcotest.(check int) "completion time" 100
-        (Armvirt_engine.Cycles.to_int a.Trace.at);
-      Alcotest.(check string) "second" "step.b" b.Trace.label;
-      Alcotest.(check int) "third at 175"
-        175 (Armvirt_engine.Cycles.to_int c.Trace.at)
-  | _ -> Alcotest.fail "event list shape");
-  Alcotest.(check (list (pair string int))) "by_label descending"
-    [ ("step.a", 125); ("step.b", 50) ]
-    (Trace.by_label trace);
-  (* Detaching stops recording. *)
-  Machine.observe machine None;
-  Sim.spawn sim ~name:"worker2" (fun () -> Machine.spend machine "step.c" 10);
-  Sim.run sim;
-  Alcotest.(check int) "no longer recording" 3 (Trace.length trace);
-  Trace.clear trace;
-  Alcotest.(check int) "cleared" 0 (Trace.length trace)
-
-(* Regression for the ring-buffer rewrite: [events] must stay
-   chronological (the old representation was a newest-first list that
-   [events] reversed) and [record] order must be preserved exactly, even
-   for many events with identical timestamps. *)
-let test_trace_events_chronological () =
-  let trace = Trace.create () in
-  let now = Armvirt_engine.Cycles.of_int 7 in
-  for i = 0 to 999 do
-    Trace.record trace ~label:(Printf.sprintf "op%d" i) ~cycles:1 ~now
-  done;
-  Alcotest.(check int) "length" 1000 (Trace.length trace);
-  Alcotest.(check (list string)) "recording order preserved"
-    (List.init 1000 (Printf.sprintf "op%d"))
-    (List.map (fun e -> e.Trace.label) (Trace.events trace));
-  Alcotest.(check int) "total is incremental" 1000 (Trace.total_cycles trace)
-
-let test_trace_by_label_tie_break () =
-  let trace = Trace.create () in
-  let now = Armvirt_engine.Cycles.of_int 0 in
-  (* Insert in an order that a Hashtbl fold would not preserve: equal
-     totals must come out sorted by label. *)
-  List.iter
-    (fun l -> Trace.record trace ~label:l ~cycles:10 ~now)
-    [ "zeta"; "alpha"; "mid" ];
-  Alcotest.(check (list (pair string int))) "ties sorted by label"
-    [ ("alpha", 10); ("mid", 10); ("zeta", 10) ]
-    (Trace.by_label trace)
-
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "stats"
@@ -269,13 +161,6 @@ let () =
         ]
         @ qcheck [ prop_summary_median_bounded; prop_summary_percentile_monotone ]
       );
-      ( "histogram",
-        [
-          Alcotest.test_case "bucketing" `Quick test_histogram_bucketing;
-          Alcotest.test_case "mode" `Quick test_histogram_mode;
-          Alcotest.test_case "errors" `Quick test_histogram_errors;
-        ]
-        @ qcheck [ prop_histogram_total ] );
       ("counter", [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ]);
       ( "cycle_counter",
         [
@@ -284,13 +169,4 @@ let () =
           Alcotest.test_case "read pays barrier" `Quick
             test_cycle_counter_read_pays_barrier;
         ] );
-      ( "trace",
-        [
-          Alcotest.test_case "records spends" `Quick test_trace_records_spends;
-          Alcotest.test_case "events chronological" `Quick
-            test_trace_events_chronological;
-          Alcotest.test_case "by_label tie-break" `Quick
-            test_trace_by_label_tie_break;
-        ]
-      );
     ]
