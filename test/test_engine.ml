@@ -529,13 +529,6 @@ let test_sim_mailbox_depth_transitions () =
 
 (* --- BENCH_events.json golden --------------------------------------- *)
 
-let contains haystack needle =
-  let n = String.length needle and m = String.length haystack in
-  let rec go i =
-    i + n <= m && (String.sub haystack i n = needle || go (i + 1))
-  in
-  go 0
-
 let rec find_repo_root dir =
   if Sys.file_exists (Filename.concat dir "BENCH_events.json") then Some dir
   else
@@ -555,31 +548,76 @@ let test_bench_events_schema () =
           ~finally:(fun () -> close_in ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
+      let module C = Armvirt_obs.Codec in
+      let doc =
+        match C.parse_json s with
+        | Ok (C.Obj fields) -> fields
+        | Ok _ -> Alcotest.fail "BENCH_events.json is not a JSON object"
+        | Error e -> Alcotest.fail ("BENCH_events.json: " ^ e)
+      in
+      let field name fields =
+        match List.assoc_opt name fields with
+        | Some v -> v
+        | None -> Alcotest.failf "missing key %S" name
+      in
+      let objects name =
+        match field name doc with
+        | C.Arr items ->
+            List.map
+              (function
+                | C.Obj fields -> fields
+                | _ -> Alcotest.failf "%s: non-object entry" name)
+              items
+        | _ -> Alcotest.failf "%s is not an array" name
+      in
+      Alcotest.(check bool)
+        "schema v3" true
+        (field "schema" doc = C.Str "armvirt.bench-events/v3");
+      Alcotest.(check bool) "scale 1" true (field "scale" doc = C.Num 1.);
+      let absent where fields keys =
+        List.iter
+          (fun key ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s has no %S" where key)
+              false
+              (List.mem_assoc key fields))
+          keys
+      in
+      absent "top level" doc [ "baseline"; "engine_micro_geomean_speedup" ];
+      let results = objects "results" in
       List.iter
-        (fun needle ->
-          Alcotest.(check bool)
-            (Printf.sprintf "contains %s" needle)
-            true (contains s needle))
+        (fun r ->
+          absent "result" r [ "baseline_events_per_sec"; "speedup" ];
+          ignore (field "exit_mix" r))
+        results;
+      List.iter
+        (fun o ->
+          absent "observer_overhead" o
+            [ "reference_events_per_sec"; "disabled_overhead_pct" ];
+          ignore (field "enabled_overhead_pct" o))
+        (objects "observer_overhead");
+      Alcotest.(check (list string))
+        "result names"
         [
-          "\"schema\": \"armvirt.bench-events/v2\"";
-          "\"scale\": 1";
-          "\"results\": [";
-          "\"engine_micro_geomean_speedup\"";
-          "\"observer_overhead\": [";
-          "\"exit_mix\"";
-          "\"disabled_overhead_pct\"";
-          "\"enabled_overhead_pct\"";
-          "\"heap-churn\"";
-          "\"delay-churn\"";
-          "\"suspend-wake\"";
-          "\"resource-contend\"";
-          "\"mailbox-pingpong\"";
-          "\"micro-suite\"";
-          "\"netperf-rr\"";
-          "\"migrate-precopy\"";
-          "\"cluster-matrix\"";
-          "\"cluster-loadgen\"";
+          "heap-churn";
+          "delay-churn";
+          "suspend-wake";
+          "resource-contend";
+          "mailbox-pingpong";
+          "micro-suite";
+          "netperf-rr";
+          "migrate-precopy";
+          "fleet-boot-storm-64";
+          "fleet-boot-storm-256";
+          "cluster-matrix";
+          "cluster-loadgen";
         ]
+        (List.map
+           (fun r ->
+             match field "name" r with
+             | C.Str n -> n
+             | _ -> Alcotest.fail "result name is not a string")
+           results)
 
 let prop_sim_determinism =
   QCheck.Test.make ~name:"two identical runs produce identical traces"
