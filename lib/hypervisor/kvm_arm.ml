@@ -11,6 +11,10 @@ module Esr = Armvirt_arch.Esr
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Marker = Armvirt_obs.Marker
 
+(* The [<hyp>] segment of every exit/entry marker this model counts;
+   also published as [Hypervisor.marker_hyp]. *)
+let marker_hyp = "kvm_arm"
+
 type tuning = {
   lazy_fp : bool;
       (* Trap-and-switch FP state only when the VM touches it (the
@@ -120,7 +124,7 @@ let exit_to_host ?(pcpu = vcpu0_pcpu) ?(reason = Esr.Hvc64) t =
      marker label is the kvm_stat-style exit record consumed by
      Armvirt_obs.Accounting. *)
   Machine.count t.machine
-    (Marker.exit ~hyp:"kvm_arm" ~reason:(Esr.marker_reason reason) ~pcpu);
+    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu);
   let w = t.world.(pcpu) in
   El2_state.exit_to_el2 w;
   Arm_ops.trap_to_el2 t.ops;
@@ -161,7 +165,7 @@ let enter_vm ?(pcpu = vcpu0_pcpu) ?(domid = 1) t =
   end;
   (* Marked after the restore path so the exit->entry marker distance is
      the full world-switch latency, like kvm_entry after vcpu_load. *)
-  Machine.count t.machine (Marker.entry ~hyp:"kvm_arm" ~pcpu ~domid ())
+  Machine.count t.machine (Marker.entry ~hyp:marker_hyp ~pcpu ~domid ())
 
 let dispatch_cost t = if vhe t then t.tun.vhe_dispatch else t.tun.host_dispatch
 
@@ -374,6 +378,7 @@ let migrate_profile t =
 let to_hypervisor t =
   {
     Hypervisor.name = (if vhe t then "KVM ARM (VHE)" else "KVM ARM");
+    marker_hyp;
     kind = Hypervisor.Type2;
     arch = Hypervisor.Arm;
     machine = t.machine;

@@ -9,6 +9,10 @@ module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
 module Marker = Armvirt_obs.Marker
 
+(* The [<hyp>] segment of every exit/entry marker this model counts;
+   also published as [Hypervisor.marker_hyp]. *)
+let marker_hyp = "kvm_x86"
+
 type tuning = {
   dispatch : int;
   apic_mmio_emulate : int;
@@ -76,14 +80,14 @@ let given_vcpu_blocked ?(pcpu = vcpu0_pcpu) ?(domid = 1) t =
    exit reasons in the marker labels (mli note in Esr). *)
 let exit_vm ?(pcpu = vcpu0_pcpu) ?(reason = Esr.Hvc64) t =
   Machine.count t.machine
-    (Marker.exit ~hyp:"kvm_x86" ~reason:(Esr.marker_reason reason) ~pcpu);
+    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu);
   Vmx_state.vmexit t.world.(pcpu);
   X86_ops.vmexit t.ops
 
 let resume_vm ?(pcpu = vcpu0_pcpu) t =
   X86_ops.vmentry t.ops;
   Vmx_state.vmentry t.world.(pcpu);
-  Machine.count t.machine (Marker.entry ~hyp:"kvm_x86" ~pcpu ())
+  Machine.count t.machine (Marker.entry ~hyp:marker_hyp ~pcpu ())
 
 let hypercall t =
   Machine.count t.machine "kvm_x86.hypercall";
@@ -230,6 +234,7 @@ let migrate_profile t =
 let to_hypervisor t =
   {
     Hypervisor.name = "KVM x86";
+    marker_hyp;
     kind = Hypervisor.Type2;
     arch = Hypervisor.X86;
     machine = t.machine;

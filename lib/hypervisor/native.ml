@@ -27,6 +27,7 @@ let to_hypervisor t =
   let no_latency () = Cycles.zero in
   {
     Hypervisor.name = "Native";
+    marker_hyp = "native";
     kind = Hypervisor.Type1 (* unused; there is no hypervisor *);
     arch;
     machine = t.machine;

@@ -12,6 +12,10 @@ module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
 module Marker = Armvirt_obs.Marker
 
+(* The [<hyp>] segment of every exit/entry marker this model counts;
+   also published as [Hypervisor.marker_hyp]. *)
+let marker_hyp = "xen_arm"
+
 type pinning = Separate | Shared
 
 type tuning = {
@@ -119,10 +123,10 @@ let spend t label cycles = Machine.spend t.machine label cycles
 
 let mark_exit t ~pcpu reason =
   Machine.count t.machine
-    (Marker.exit ~hyp:"xen_arm" ~reason:(Esr.marker_reason reason) ~pcpu)
+    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu)
 
 let mark_entry t ~pcpu ~domid =
-  Machine.count t.machine (Marker.entry ~hyp:"xen_arm" ~pcpu ~domid ())
+  Machine.count t.machine (Marker.entry ~hyp:marker_hyp ~pcpu ~domid ())
 
 let trap_to_xen ?(pcpu = 4) ?(reason = Esr.Hvc64) t =
   mark_exit t ~pcpu reason;
@@ -397,6 +401,7 @@ let migrate_profile t =
 let to_hypervisor t =
   {
     Hypervisor.name = "Xen ARM";
+    marker_hyp;
     kind = Hypervisor.Type1;
     arch = Hypervisor.Arm;
     machine = t.machine;

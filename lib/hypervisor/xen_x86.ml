@@ -9,6 +9,10 @@ module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
 module Marker = Armvirt_obs.Marker
 
+(* The [<hyp>] segment of every exit/entry marker this model counts;
+   also published as [Hypervisor.marker_hyp]. *)
+let marker_hyp = "xen_x86"
+
 type tuning = {
   dispatch : int;
   apic_mmio_emulate : int;
@@ -100,14 +104,14 @@ let given_domu_blocked ?(pcpu = domu_pcpu) t =
    mode, so its traps are plain spends, matching real kvm_stat scope. *)
 let exit_vm ?(pcpu = domu_pcpu) ?(reason = Esr.Hvc64) t =
   Machine.count t.machine
-    (Marker.exit ~hyp:"xen_x86" ~reason:(Esr.marker_reason reason) ~pcpu);
+    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu);
   Vmx_state.vmexit t.world.(pcpu);
   X86_ops.vmexit t.ops
 
 let resume_vm ?(pcpu = domu_pcpu) t =
   X86_ops.vmentry t.ops;
   Vmx_state.vmentry t.world.(pcpu);
-  Machine.count t.machine (Marker.entry ~hyp:"xen_x86" ~pcpu ())
+  Machine.count t.machine (Marker.entry ~hyp:marker_hyp ~pcpu ())
 
 let hypercall t =
   Machine.count t.machine "xen_x86.hypercall";
@@ -279,6 +283,7 @@ let migrate_profile t =
 let to_hypervisor t =
   {
     Hypervisor.name = "Xen x86";
+    marker_hyp;
     kind = Hypervisor.Type1;
     arch = Hypervisor.X86;
     machine = t.machine;

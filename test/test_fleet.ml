@@ -240,6 +240,39 @@ let test_exits_match_entries () =
         models)
     scenarios
 
+(* The fleet's exit/entry markers carry the model's accounting prefix,
+   not its display name: the renamed Xen ARM of
+   examples/custom_hypervisor.ml still books every world switch under
+   [xen_arm]. *)
+let test_renamed_model_labels () =
+  let hyp =
+    {
+      (Platform.hypervisor Platform.Arm_m400 Platform.Xen) with
+      Hypervisor.name = "Xen ARM (zero copy)";
+    }
+  in
+  ignore
+    (Scenario.boot_storm hyp (Descriptor.v ~vms:4 [ (Descriptor.synthetic, 1) ]));
+  let labels = Counter.names (Machine.counters hyp.Hypervisor.machine) in
+  let marked kind =
+    List.exists
+      (fun l ->
+        match (kind, Accounting.parse_label l) with
+        | `Exit, Some (Accounting.Exit _) | `Entry, Some (Accounting.Entry _) ->
+            true
+        | _ -> false)
+      labels
+  in
+  Alcotest.(check bool) "exits marked" true (marked `Exit);
+  Alcotest.(check bool) "entries marked" true (marked `Entry);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s has the xen_arm prefix" l)
+        true
+        (String.starts_with ~prefix:"xen_arm." l))
+    labels
+
 (* --- batch (oversub substrate) --------------------------------------- *)
 
 let test_batch_matches_manual_sched () =
@@ -816,6 +849,8 @@ let () =
         [
           Alcotest.test_case "exits = entries per PCPU, all scenarios" `Quick
             test_exits_match_entries;
+          Alcotest.test_case "renamed model keeps its label prefix" `Quick
+            test_renamed_model_labels;
         ] );
       ( "batch",
         [
