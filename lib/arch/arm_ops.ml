@@ -55,9 +55,6 @@ let ipi_wire_latency t = Cycles.of_int t.hw.Cost_model.phys_ipi_wire
 let tlb_invalidate_broadcast t =
   spend t "arm.tlb_broadcast" t.hw.Cost_model.tlb_broadcast_invalidate
 
-let tlb_invalidate_local t =
-  spend t "arm.tlb_local" t.hw.Cost_model.tlb_local_invalidate
-
 let page_map t = spend t "arm.page_map" t.hw.Cost_model.page_map_cost
 
 let copy_bytes t n =

@@ -42,8 +42,6 @@ let short_name = function
   | Data_abort_lower -> "dabt"
   | Irq -> "irq"
 
-let of_short_name s = List.find_opt (fun cls -> short_name cls = s) all
-
 (* Obs sits below arch in the library graph, so Marker carries its own
    reason enum; this exhaustive match is the single mapping point — a
    new exception class fails to compile until Marker learns it too. *)

@@ -266,13 +266,6 @@ module Mailbox = struct
       v
     end
 
-  let try_recv mb =
-    if Fifo.is_empty mb.queue then None
-    else begin
-      let v = Fifo.pop mb.queue in
-      depth_changed mb;
-      Some v
-    end
 
   let length mb = Fifo.length mb.queue
 end

@@ -56,4 +56,3 @@ val active : t -> Irq.t list
 val resident : t -> int
 (** Number of occupied list registers. *)
 
-val state_of : t -> Irq.t -> lr_state option

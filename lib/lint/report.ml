@@ -2,12 +2,6 @@ module Codec = Armvirt_obs.Codec
 
 type format = Text | Csv | Json
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "csv" -> Some Csv
-  | "json" -> Some Json
-  | _ -> None
-
 type status = Fresh | Grandfathered
 
 let status_to_string = function

@@ -7,8 +7,6 @@
 
 type format = Text | Csv | Json
 
-val format_of_string : string -> format option
-
 type status = Fresh | Grandfathered
 
 val status_to_string : status -> string

@@ -51,8 +51,3 @@ let iter t f =
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   List.iter (fun (ipa_page, e) -> f ~ipa_page ~pa_page:e.pa_page e.perm) entries
-
-let pp_fault ppf = function
-  | Unmapped ipa -> Format.fprintf ppf "stage-2 unmapped at %a" Addr.pp_ipa ipa
-  | Permission ipa ->
-      Format.fprintf ppf "stage-2 permission fault at %a" Addr.pp_ipa ipa

@@ -38,4 +38,3 @@ val mapping_count : t -> int
 
 val iter : t -> (ipa_page:int -> pa_page:int -> perm -> unit) -> unit
 
-val pp_fault : Format.formatter -> fault -> unit

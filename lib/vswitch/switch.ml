@@ -56,7 +56,6 @@ let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
 
 let name t = t.name
 let profile t = t.profile
-let num_ports t = List.length t.ports
 let find_port t id =
   match List.find_opt (fun p -> p.port_id = id) t.ports with
   | Some p -> p
@@ -258,6 +257,3 @@ let mac_table t =
 (* lint: sorted — listing is ordered by MAC before it escapes *)
 
 let uplink_links t = List.rev_map (fun u -> u.up_link) t.uplinks
-
-let uplink_stats t =
-  List.rev_map (fun u -> (u.up_id, u.up_tx, u.up_rx)) t.uplinks
