@@ -139,6 +139,41 @@ let test_config_rejects () =
   rejects (fun () -> Config.apply Config.default "hyp" (Space.Choice "vmware"));
   rejects (fun () -> Objective.find "no-such-objective")
 
+(* Every rejection message [Config.apply] can raise, one knob per
+   decoder and every range check, pinned word for word. *)
+let test_config_messages () =
+  let message name v =
+    match Config.apply Config.default name v with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument m -> m
+  in
+  List.iter
+    (fun (name, v, expected) ->
+      Alcotest.(check string) name expected (message name v))
+    [
+      ( "no-such-knob",
+        Space.Int 1,
+        "Config: unknown knob \"no-such-knob\" (see Config.knobs)" );
+      ("vgic.save", Space.Bool true, "Config: vgic.save wants an int, got true");
+      ( "freq_ghz",
+        Space.Choice "fast",
+        "Config: freq_ghz wants a float, got fast" );
+      ("vhe", Space.Int 1, "Config: vhe wants a bool, got 1");
+      ("hyp", Space.Int 1, "Config: hyp wants kvm|xen|native, got 1");
+      ( "hyp",
+        Space.Choice "vmware",
+        "Config: unknown hypervisor \"vmware\" (kvm|xen|native)" );
+      ("lr_count", Space.Int 0, "Config: lr_count < 1");
+      ("mig.page_kb", Space.Int 0, "Config: mig.page_kb < 1");
+      ("fleet.vms", Space.Int 0, "Config: fleet.vms < 1");
+      ("fleet.vcpus", Space.Int 0, "Config: fleet.vcpus < 1");
+      ("fleet.timeslice_ms", Space.Float 0.0, "Config: fleet.timeslice_ms <= 0");
+      ("cluster.vms", Space.Int 1, "Config: cluster.vms < 2");
+      ("cluster.load", Space.Float (-0.5), "Config: cluster.load <= 0");
+      ("net.queue", Space.Int 0, "Config: net.queue < 1");
+      ("net.uplink_gbps", Space.Float 0.0, "Config: net.uplink_gbps <= 0");
+    ]
+
 (* --- Pareto ---------------------------------------------------------- *)
 
 let test_pareto_hand_built () =
@@ -297,6 +332,7 @@ let () =
         [
           Alcotest.test_case "apply" `Quick test_config_apply;
           Alcotest.test_case "rejects" `Quick test_config_rejects;
+          Alcotest.test_case "rejection messages" `Quick test_config_messages;
         ] );
       ( "pareto",
         [

@@ -371,9 +371,11 @@ let explore_knobs () =
     (match C.apply base "mig.txn_rate_hz" (Space.Float (-1.0)) with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  let documented name =
+    List.exists (fun (k : C.knob) -> String.equal k.C.name name) C.knobs
+  in
   checkb "mig knobs documented" true
-    (List.mem_assoc "mig.bandwidth_gbps" C.knobs
-    && List.mem_assoc "stage2_wp_fault" C.knobs)
+    (documented "mig.bandwidth_gbps" && documented "stage2_wp_fault")
 
 let explore_objectives () =
   let module O = Explore.Objective in
