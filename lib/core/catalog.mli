@@ -2,11 +2,11 @@
     one-line description and the code that regenerates and renders it.
 
     This is the one place an experiment is named. [armvirt list], [run],
-    [trace] and [stat] and the bench harness all derive their ids from
-    {!all}, so adding an experiment means adding one entry here. *)
+    [trace] and [stat] all derive their ids from {!all}, so adding an
+    experiment means adding one entry here. *)
 
 type t = {
-  id : string;  (** The id [armvirt run] and [bench/main.exe] accept. *)
+  id : string;  (** The id [armvirt run] accepts. *)
   doc : string;  (** One line for [armvirt list]. *)
   run : Format.formatter -> unit;
       (** Run the experiment and render its report(s) to the formatter. *)

@@ -4,7 +4,7 @@
     Every function builds fresh simulated machines, runs the relevant
     workloads and returns structured results; {!Report} renders them next
     to {!Paper_data}. The experiment ids here are the ones DESIGN.md's
-    per-experiment index lists and `bench/main.exe` accepts. *)
+    per-experiment index lists and `armvirt run` accepts. *)
 
 type quad_f = {
   q_kvm_arm : float option;

@@ -44,7 +44,7 @@ let test_r2_wall_clock () =
   check_rules "self_init double-flagged" [ "R1"; "R2" ]
     (lint ~relpath:"lib/core/x.ml" "let () = Random.self_init ()");
   check_rules "bench may use wall clock" []
-    (lint ~relpath:"bench/main.ml" "let now () = Unix.gettimeofday ()")
+    (lint ~relpath:"bench/events/bench_events.ml" "let now () = Unix.gettimeofday ()")
 
 (* --- R3: Hashtbl iteration order ------------------------------------ *)
 
