@@ -748,8 +748,25 @@ module Explore = Armvirt_explore
 
 let explore_cmd =
   let space_conv =
+    (* Every axis name, level and range bound must be one Config.apply
+       accepts, so a bad space is a usage error before any point runs.
+       Ranges are probed at their bounds, not enumerated: an LHS design
+       never lists a fine float range's levels. *)
     let parse s =
-      match Explore.Space.of_string s with
+      let module S = Explore.Space in
+      let check (a : S.axis) =
+        List.iter
+          (fun v -> ignore (Explore.Config.apply Explore.Config.default a.name v))
+          (match a.spec with
+          | S.Int_range { lo; hi; _ } -> [ S.Int lo; S.Int hi ]
+          | S.Float_range { lo; hi; _ } -> [ S.Float lo; S.Float hi ]
+          | S.Levels vs -> vs)
+      in
+      match
+        let space = S.of_string s in
+        List.iter check space;
+        space
+      with
       | space -> Ok space
       | exception Invalid_argument msg -> Error (`Msg msg)
     in
@@ -1265,8 +1282,8 @@ let cluster_cmd =
     | [] ->
         Format.fprintf ppf "--offered-load needs at least one point@.";
         exit 2
-    | l when List.exists (fun x -> x <= 0.0) l ->
-        Format.fprintf ppf "--offered-load points must be positive@.";
+    | l when List.exists (fun x -> not (Float.is_finite x && x > 0.0)) l ->
+        Format.fprintf ppf "--offered-load points must be positive and finite@.";
         exit 2
     | _ -> ());
     with_session ~context:"cluster" ~stat_file ~trace_file ~verbose:false

@@ -42,18 +42,6 @@ let short_name = function
   | Data_abort_lower -> "dabt"
   | Irq -> "irq"
 
-(* Obs sits below arch in the library graph, so Marker carries its own
-   reason enum; this exhaustive match is the single mapping point — a
-   new exception class fails to compile until Marker learns it too. *)
-let marker_reason = function
-  | Wfi_wfe -> Armvirt_obs.Marker.Wfx
-  | Hvc64 -> Armvirt_obs.Marker.Hvc
-  | Smc64 -> Armvirt_obs.Marker.Smc
-  | Sysreg_trap -> Armvirt_obs.Marker.Sysreg
-  | Inst_abort_lower -> Armvirt_obs.Marker.Iabt
-  | Data_abort_lower -> Armvirt_obs.Marker.Dabt
-  | Irq -> Armvirt_obs.Marker.Irq
-
 let describe = function
   | Wfi_wfe -> "WFI/WFE: the guest idled"
   | Hvc64 -> "HVC: hypercall"

@@ -37,9 +37,4 @@ val short_name : exception_class -> string
     to key exit-marker counter labels and the [armvirt stat] report.
     Never contains ['/'], ['.'] or whitespace. *)
 
-val marker_reason : exception_class -> Armvirt_obs.Marker.reason
-(** The typed {!Armvirt_obs.Marker} reason with the same mnemonic;
-    [short_name cls = Marker.reason_to_string (marker_reason cls)] for
-    every class (asserted by the stat tests). *)
-
 val all : exception_class list

@@ -69,7 +69,8 @@ let spend t label cycles =
   | Some notify -> notify ~label ~cycles ~now:(Sim.current_time ())
   | None -> ()
 
-let count t label =
+let count t (marker : Marker.t) =
+  let label = (marker :> string) in
   Counter.incr t.counters label;
   match t.count_observer with
   | Some notify -> notify ~label ~now:(Sim.now t.sim)

@@ -62,8 +62,10 @@ val set_create_hook : (t -> unit) option -> unit
     experiments construct internally. Not domain-scoped: set it before
     spawning runner domains and clear it after. *)
 
-val count : t -> string -> unit
-(** Increment an event counter without consuming time. *)
+val count : t -> Marker.t -> unit
+(** Increment the marker's event counter without consuming time. Only
+    the {!Marker} builders produce a label, so every counted row key
+    follows the accounting grammar. *)
 
 val freq_ghz : t -> float
 

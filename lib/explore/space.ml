@@ -16,12 +16,16 @@ let validate_spec name = function
       if lo > hi then
         invalid_arg (Printf.sprintf "Space.axis %s: lo > hi" name)
   | Float_range { lo; hi; step } ->
+      if not (Float.is_finite lo && Float.is_finite hi && Float.is_finite step)
+      then invalid_arg (Printf.sprintf "Space.axis %s: non-finite range" name);
       if step <= 0. then
         invalid_arg (Printf.sprintf "Space.axis %s: step <= 0" name);
       if lo > hi then
         invalid_arg (Printf.sprintf "Space.axis %s: lo > hi" name)
   | Levels [] -> invalid_arg (Printf.sprintf "Space.axis %s: no levels" name)
-  | Levels _ -> ()
+  | Levels vs ->
+      if List.exists (function Float f -> not (Float.is_finite f) | _ -> false) vs
+      then invalid_arg (Printf.sprintf "Space.axis %s: non-finite level" name)
 
 let axis name spec =
   if name = "" then invalid_arg "Space.axis: empty name";

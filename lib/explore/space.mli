@@ -22,7 +22,8 @@ type point = (string * value) list
 
 val axis : string -> spec -> axis
 (** Raises [Invalid_argument] on an empty name, empty levels, a
-    non-positive step or an inverted range. *)
+    non-finite float bound, step or level, a non-positive step or an
+    inverted range. *)
 
 val of_axes : axis list -> t
 (** Raises [Invalid_argument] on duplicate axis names or an empty list. *)

@@ -3,7 +3,7 @@ module Cycles = Armvirt_engine.Cycles
 module Rng = Armvirt_engine.Rng
 module Summary = Armvirt_stats.Summary
 module Machine = Armvirt_arch.Machine
-module Marker = Armvirt_obs.Marker
+module Marker = Armvirt_arch.Marker
 module Hypervisor = Armvirt_hypervisor.Hypervisor
 module Io_profile = Armvirt_hypervisor.Io_profile
 module Kernel_costs = Armvirt_guest.Kernel_costs
@@ -70,7 +70,8 @@ let admit host ~(profile : Descriptor.profile) ~profile_idx ~now ~work_of =
 
 let mark_exit host ~pcpu =
   Machine.count host.machine
-    (Marker.exit ~hyp:host.hyp.Hypervisor.marker_hyp ~reason:Marker.Irq ~pcpu)
+    (Marker.exit ~hyp:host.hyp.Hypervisor.marker_hyp
+       ~reason:Armvirt_arch.Esr.Irq ~pcpu)
 
 (* A VCPU leaving the scheduler while it still holds a PCPU (a churn
    departure) exits that PCPU first, so exits = entries per PCPU. *)

@@ -9,11 +9,24 @@ module Distributor = Armvirt_gic.Distributor
 module El2_state = Armvirt_arch.El2_state
 module Esr = Armvirt_arch.Esr
 module Kernel_costs = Armvirt_guest.Kernel_costs
-module Marker = Armvirt_obs.Marker
+module Marker = Armvirt_arch.Marker
 
 (* The [<hyp>] segment of every exit/entry marker this model counts;
    also published as [Hypervisor.marker_hyp]. *)
 let marker_hyp = "kvm_arm"
+
+(* The operation counters, built once: ["kvm_arm.<op>"]. *)
+module Mark = struct
+  let op = Marker.op ~hyp:marker_hyp
+  let virq_injected = op "virq_injected"
+  let hypercall = op "hypercall"
+  let ict = op "ict"
+  let virq_completion = op "virq_completion"
+  let vm_switch = op "vm_switch"
+  let vipi = op "vipi"
+  let io_out = op "io_out"
+  let io_in = op "io_in"
+end
 
 type tuning = {
   lazy_fp : bool;
@@ -124,7 +137,7 @@ let exit_to_host ?(pcpu = vcpu0_pcpu) ?(reason = Esr.Hvc64) t =
      marker label is the kvm_stat-style exit record consumed by
      Armvirt_obs.Accounting. *)
   Machine.count t.machine
-    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu);
+    (Marker.exit ~hyp:marker_hyp ~reason ~pcpu);
   let w = t.world.(pcpu) in
   El2_state.exit_to_el2 w;
   Arm_ops.trap_to_el2 t.ops;
@@ -186,10 +199,10 @@ let inject_virq t (vcpu : Vm.vcpu) irq =
   Arm_ops.vgic_slot_scan t.ops;
   Arm_ops.vgic_lr_write t.ops;
   Vgic.inject_or_queue vcpu.Vm.vgic irq;
-  Machine.count t.machine "kvm_arm.virq_injected"
+  Machine.count t.machine Mark.virq_injected
 
 let hypercall t =
-  Machine.count t.machine "kvm_arm.hypercall";
+  Machine.count t.machine Mark.hypercall;
   given_vm_running t;
   Arm_ops.hvc_issue t.ops;
   exit_to_host t;
@@ -197,7 +210,7 @@ let hypercall t =
   enter_vm t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "kvm_arm.ict";
+  Machine.count t.machine Mark.ict;
   given_vm_running t;
   exit_to_host ~reason:Esr.Data_abort_lower t;
   Arm_ops.mmio_decode t.ops;
@@ -205,12 +218,12 @@ let interrupt_controller_trap t =
   enter_vm t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "kvm_arm.virq_completion";
+  Machine.count t.machine Mark.virq_completion;
   (* Hardware vGIC CPU interface: no hypervisor involvement at all. *)
   Arm_ops.virq_complete t.ops
 
 let vm_switch t =
-  Machine.count t.machine "kvm_arm.vm_switch";
+  Machine.count t.machine Mark.vm_switch;
   (* VM1 -> host (full switch), Linux picks the other VM's QEMU process,
      host -> VM2 (full switch again): EL1 state crosses memory twice,
      which is why KVM only loses slightly to Xen here (section IV). *)
@@ -224,7 +237,7 @@ let vm_switch t =
    takes a physical interrupt to EL2, which the host turns into a virtual
    interrupt injection, then re-enters the VM. *)
 let virtual_ipi t =
-  Machine.count t.machine "kvm_arm.vipi";
+  Machine.count t.machine Mark.vipi;
   given_vm_running t;
   given_vm_running ~pcpu:5 t;
   let start = Sim.current_time () in
@@ -260,7 +273,7 @@ let kick_dispatch t =
    microbenchmark's definition ("for KVM, this traps to the host
    kernel"). *)
 let io_latency_out t =
-  Machine.count t.machine "kvm_arm.io_out";
+  Machine.count t.machine Mark.io_out;
   given_vm_running t;
   let start = Sim.current_time () in
   exit_to_host ~reason:Esr.Data_abort_lower t (* virtqueue kick MMIO *);
@@ -274,7 +287,7 @@ let io_latency_out t =
    (scheduler wakeup + vcpu_load + run-loop re-entry), inject the virtual
    interrupt, enter the VM. *)
 let io_latency_in t =
-  Machine.count t.machine "kvm_arm.io_in";
+  Machine.count t.machine Mark.io_in;
   (* The VM blocked in WFI earlier; its exit is off the measured path. *)
   given_vcpu_blocked t;
   let start = Sim.current_time () in

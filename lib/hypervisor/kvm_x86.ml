@@ -7,11 +7,23 @@ module Apic = Armvirt_gic.Apic
 module Vmx_state = Armvirt_arch.Vmx_state
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
-module Marker = Armvirt_obs.Marker
+module Marker = Armvirt_arch.Marker
 
 (* The [<hyp>] segment of every exit/entry marker this model counts;
    also published as [Hypervisor.marker_hyp]. *)
 let marker_hyp = "kvm_x86"
+
+(* The operation counters, built once: ["kvm_x86.<op>"]. *)
+module Mark = struct
+  let op = Marker.op ~hyp:marker_hyp
+  let hypercall = op "hypercall"
+  let ict = op "ict"
+  let virq_completion = op "virq_completion"
+  let vm_switch = op "vm_switch"
+  let vipi = op "vipi"
+  let io_out = op "io_out"
+  let io_in = op "io_in"
+end
 
 type tuning = {
   dispatch : int;
@@ -80,7 +92,7 @@ let given_vcpu_blocked ?(pcpu = vcpu0_pcpu) ?(domid = 1) t =
    exit reasons in the marker labels (mli note in Esr). *)
 let exit_vm ?(pcpu = vcpu0_pcpu) ?(reason = Esr.Hvc64) t =
   Machine.count t.machine
-    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu);
+    (Marker.exit ~hyp:marker_hyp ~reason ~pcpu);
   Vmx_state.vmexit t.world.(pcpu);
   X86_ops.vmexit t.ops
 
@@ -90,7 +102,7 @@ let resume_vm ?(pcpu = vcpu0_pcpu) t =
   Machine.count t.machine (Marker.entry ~hyp:marker_hyp ~pcpu ())
 
 let hypercall t =
-  Machine.count t.machine "kvm_x86.hypercall";
+  Machine.count t.machine Mark.hypercall;
   given_vm_running t;
   X86_ops.vmcall_issue t.ops;
   exit_vm t;
@@ -98,14 +110,14 @@ let hypercall t =
   resume_vm t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "kvm_x86.ict";
+  Machine.count t.machine Mark.ict;
   given_vm_running t;
   exit_vm ~reason:Esr.Data_abort_lower t (* APIC MMIO write *);
   spend t "kvm_x86.apic_emulate" t.tun.apic_mmio_emulate;
   resume_vm t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "kvm_x86.virq_completion";
+  Machine.count t.machine Mark.virq_completion;
   let hw = X86_ops.hw t.ops in
   if hw.Cost_model.vapic then X86_ops.eoi t.ops
   else begin
@@ -118,7 +130,7 @@ let virtual_irq_completion t =
   end
 
 let vm_switch t =
-  Machine.count t.machine "kvm_x86.vm_switch";
+  Machine.count t.machine Mark.vm_switch;
   given_vm_running t;
   let w = t.world.(vcpu0_pcpu) in
   exit_vm ~reason:Esr.Irq t (* the scheduler tick preempts *);
@@ -129,7 +141,7 @@ let vm_switch t =
   resume_vm t
 
 let virtual_ipi t =
-  Machine.count t.machine "kvm_x86.vipi";
+  Machine.count t.machine Mark.vipi;
   given_vm_running t;
   given_vm_running ~pcpu:5 t;
   let start = Sim.current_time () in
@@ -155,7 +167,7 @@ let virtual_ipi t =
    kernel (vhost) receives the eventfd signal before KVM re-enters the
    VM. *)
 let io_latency_out t =
-  Machine.count t.machine "kvm_x86.io_out";
+  Machine.count t.machine Mark.io_out;
   given_vm_running t;
   let start = Sim.current_time () in
   exit_vm ~reason:Esr.Data_abort_lower t (* virtqueue kick MMIO *);
@@ -165,7 +177,7 @@ let io_latency_out t =
   latency
 
 let io_latency_in t =
-  Machine.count t.machine "kvm_x86.io_in";
+  Machine.count t.machine Mark.io_in;
   (* The VCPU thread blocked earlier: its exit is off the measured path. *)
   given_vcpu_blocked t;
   let start = Sim.current_time () in

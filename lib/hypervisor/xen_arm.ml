@@ -10,11 +10,25 @@ module El2_state = Armvirt_arch.El2_state
 module Event_channel = Armvirt_io.Event_channel
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
-module Marker = Armvirt_obs.Marker
+module Marker = Armvirt_arch.Marker
 
 (* The [<hyp>] segment of every exit/entry marker this model counts;
    also published as [Hypervisor.marker_hyp]. *)
 let marker_hyp = "xen_arm"
+
+(* The operation counters, built once: ["xen_arm.<op>"]. *)
+module Mark = struct
+  let op = Marker.op ~hyp:marker_hyp
+  let vm_switch_inner = op "vm_switch_inner"
+  let virq_injected = op "virq_injected"
+  let hypercall = op "hypercall"
+  let ict = op "ict"
+  let virq_completion = op "virq_completion"
+  let vm_switch = op "vm_switch"
+  let vipi = op "vipi"
+  let io_out = op "io_out"
+  let io_in = op "io_in"
+end
 
 type pinning = Separate | Shared
 
@@ -123,7 +137,7 @@ let spend t label cycles = Machine.spend t.machine label cycles
 
 let mark_exit t ~pcpu reason =
   Machine.count t.machine
-    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu)
+    (Marker.exit ~hyp:marker_hyp ~reason ~pcpu)
 
 let mark_entry t ~pcpu ~domid =
   Machine.count t.machine (Marker.entry ~hyp:marker_hyp ~pcpu ~domid ())
@@ -145,7 +159,7 @@ let return_from_xen ?(pcpu = 4) ?(domid = 1) t =
    costs, which is why its VM Switch is only modestly cheaper than
    KVM's (section IV). *)
 let full_vm_switch ?(pcpu = 4) ?(to_domid = 1) t =
-  Machine.count t.machine "xen_arm.vm_switch_inner";
+  Machine.count t.machine Mark.vm_switch_inner;
   Arm_ops.save_classes t.ops Reg_class.full_world_switch;
   spend t "xen_arm.sched_pick" t.tun.sched_pick;
   Arm_ops.restore_classes t.ops Reg_class.full_world_switch;
@@ -155,10 +169,10 @@ let inject_virq t (vcpu : Vm.vcpu) irq =
   Arm_ops.vgic_slot_scan t.ops;
   Arm_ops.vgic_lr_write t.ops;
   Vgic.inject_or_queue vcpu.Vm.vgic irq;
-  Machine.count t.machine "xen_arm.virq_injected"
+  Machine.count t.machine Mark.virq_injected
 
 let hypercall t =
-  Machine.count t.machine "xen_arm.hypercall";
+  Machine.count t.machine Mark.hypercall;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   Arm_ops.hvc_issue t.ops;
@@ -167,7 +181,7 @@ let hypercall t =
   return_from_xen ~pcpu t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "xen_arm.ict";
+  Machine.count t.machine Mark.ict;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   trap_to_xen ~pcpu ~reason:Esr.Data_abort_lower t;
@@ -176,11 +190,11 @@ let interrupt_controller_trap t =
   return_from_xen ~pcpu t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "xen_arm.virq_completion";
+  Machine.count t.machine Mark.virq_completion;
   Arm_ops.virq_complete t.ops
 
 let vm_switch t =
-  Machine.count t.machine "xen_arm.vm_switch";
+  Machine.count t.machine Mark.vm_switch;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   mark_exit t ~pcpu Esr.Irq (* the scheduler tick preempts *);
@@ -194,7 +208,7 @@ let vm_switch t =
 (* Both VCPUs execute VM code; the whole exchange stays in EL2 on both
    sides — roughly twice as fast as KVM's host-mediated version. *)
 let virtual_ipi t =
-  Machine.count t.machine "xen_arm.vipi";
+  Machine.count t.machine Mark.vipi;
   let pcpu = domu_pcpu t in
   let peer = pcpu + 1 in
   given_vm_running t ~pcpu ~domid:1;
@@ -229,7 +243,7 @@ let virtual_ipi t =
    with an extra full VM switch, which the paper found "similar or
    worse". *)
 let io_latency_out t =
-  Machine.count t.machine "xen_arm.io_out";
+  Machine.count t.machine Mark.io_out;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   (* Dom0 idles between requests: the idle domain holds its PCPU
@@ -271,7 +285,7 @@ let io_latency_out t =
 (* Netback completion in Dom0 -> DomU's interrupt handler: the mirror
    image, switching the idle domain for DomU on the target PCPU. *)
 let io_latency_in t =
-  Machine.count t.machine "xen_arm.io_in";
+  Machine.count t.machine Mark.io_in;
   let pcpu = domu_pcpu t in
   (* Dom0 is running (it has data to deliver); DomU blocked for I/O, so
      the idle domain holds its PCPU. *)

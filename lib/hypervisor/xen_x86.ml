@@ -7,11 +7,23 @@ module Event_channel = Armvirt_io.Event_channel
 module Vmx_state = Armvirt_arch.Vmx_state
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
-module Marker = Armvirt_obs.Marker
+module Marker = Armvirt_arch.Marker
 
 (* The [<hyp>] segment of every exit/entry marker this model counts;
    also published as [Hypervisor.marker_hyp]. *)
 let marker_hyp = "xen_x86"
+
+(* The operation counters, built once: ["xen_x86.<op>"]. *)
+module Mark = struct
+  let op = Marker.op ~hyp:marker_hyp
+  let hypercall = op "hypercall"
+  let ict = op "ict"
+  let virq_completion = op "virq_completion"
+  let vm_switch = op "vm_switch"
+  let vipi = op "vipi"
+  let io_out = op "io_out"
+  let io_in = op "io_in"
+end
 
 type tuning = {
   dispatch : int;
@@ -104,7 +116,7 @@ let given_domu_blocked ?(pcpu = domu_pcpu) t =
    mode, so its traps are plain spends, matching real kvm_stat scope. *)
 let exit_vm ?(pcpu = domu_pcpu) ?(reason = Esr.Hvc64) t =
   Machine.count t.machine
-    (Marker.exit ~hyp:marker_hyp ~reason:(Esr.marker_reason reason) ~pcpu);
+    (Marker.exit ~hyp:marker_hyp ~reason ~pcpu);
   Vmx_state.vmexit t.world.(pcpu);
   X86_ops.vmexit t.ops
 
@@ -114,7 +126,7 @@ let resume_vm ?(pcpu = domu_pcpu) t =
   Machine.count t.machine (Marker.entry ~hyp:marker_hyp ~pcpu ())
 
 let hypercall t =
-  Machine.count t.machine "xen_x86.hypercall";
+  Machine.count t.machine Mark.hypercall;
   given_vm_running t;
   X86_ops.vmcall_issue t.ops;
   exit_vm t;
@@ -122,14 +134,14 @@ let hypercall t =
   resume_vm t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "xen_x86.ict";
+  Machine.count t.machine Mark.ict;
   given_vm_running t;
   exit_vm ~reason:Esr.Data_abort_lower t (* APIC MMIO write *);
   spend t "xen_x86.apic_emulate" t.tun.apic_mmio_emulate;
   resume_vm t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "xen_x86.virq_completion";
+  Machine.count t.machine Mark.virq_completion;
   given_vm_running t;
   if X86_ops.vapic_enabled t.ops then
     (* Hardware completion, like ARM's virtual CPU interface. *)
@@ -141,7 +153,7 @@ let virtual_irq_completion t =
   end
 
 let vm_switch t =
-  Machine.count t.machine "xen_x86.vm_switch";
+  Machine.count t.machine Mark.vm_switch;
   given_vm_running t;
   let w = t.world.(domu_pcpu) in
   exit_vm ~reason:Esr.Irq t (* the scheduler tick preempts *);
@@ -151,7 +163,7 @@ let vm_switch t =
   resume_vm t
 
 let virtual_ipi t =
-  Machine.count t.machine "xen_x86.vipi";
+  Machine.count t.machine Mark.vipi;
   given_vm_running t;
   given_vm_running ~pcpu:5 t;
   let start = Sim.current_time () in
@@ -174,7 +186,7 @@ let virtual_ipi t =
    PCPU, where the idle context is swapped for Dom0's root-mode PV
    context — no VMCS reload, but a full scheduler pass. *)
 let io_latency_out t =
-  Machine.count t.machine "xen_x86.io_out";
+  Machine.count t.machine Mark.io_out;
   given_vm_running t;
   let start = Sim.current_time () in
   exit_vm ~reason:Esr.Hvc64 t (* evtchn_send hypercall *);
@@ -196,7 +208,7 @@ let io_latency_out t =
    then Xen switches the idle context for the HVM DomU (VMCS load) and
    injects the virtual interrupt. *)
 let io_latency_in t =
-  Machine.count t.machine "xen_x86.io_in";
+  Machine.count t.machine Mark.io_in;
   (* DomU blocked earlier; Xen's root-mode idle context holds its PCPU. *)
   given_domu_blocked t;
   let start = Sim.current_time () in

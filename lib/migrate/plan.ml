@@ -39,6 +39,18 @@ let page_bytes t = t.page_kb * 1024
 let total_bytes t = t.pages * page_bytes t
 
 let validate t =
+  List.iter
+    (fun (name, x) ->
+      if not (Float.is_finite x) then
+        invalid_arg (Printf.sprintf "Plan: %s must be finite" name))
+    [
+      ("hot_fraction", t.hot_fraction);
+      ("txn_rate_hz", t.txn_rate_hz);
+      ("downtime_target_us", t.downtime_target_us);
+      ("bandwidth_gbps", t.bandwidth_gbps);
+      ("warmup_us", t.warmup_us);
+      ("tail_us", t.tail_us);
+    ];
   if t.pages <= 0 then invalid_arg "Plan: pages must be positive";
   if t.page_kb <= 0 then invalid_arg "Plan: page_kb must be positive";
   if t.vcpus <= 0 then invalid_arg "Plan: vcpus must be positive";

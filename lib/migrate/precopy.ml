@@ -10,6 +10,15 @@ module Hypervisor = Armvirt_hypervisor.Hypervisor
 module Migrate_profile = Armvirt_hypervisor.Migrate_profile
 module Summary = Armvirt_stats.Summary
 
+(* The migration's counters, built once: ["migrate.<op>"]. *)
+module Mark = struct
+  let op = Armvirt_arch.Marker.op ~hyp:"migrate"
+  let start = op "start"
+  let round = op "round"
+  let round_cap = op "round_cap"
+  let blackout = op "blackout"
+end
+
 type round = {
   index : int;
   pages : int;
@@ -221,7 +230,7 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
       if plan.Plan.warmup_us > 0.0 then
         Sim.delay (cycles_of_us plan.Plan.warmup_us);
       let start = Sim.current_time () in
-      Machine.count machine "migrate.start";
+      Machine.count machine Mark.start;
       (* Everything from here on is round 0: the initial protect pass
          already makes the guest fault, and those requests must not
          land in the idle-baseline bucket. *)
@@ -233,7 +242,7 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
         (plan.Plan.pages * prof.Migrate_profile.harvest_per_page);
       let rec precopy r to_send =
         round_ref := r;
-        Machine.count machine "migrate.round";
+        Machine.count machine Mark.round;
         let round_start = Sim.current_time () in
         let faults_before = Dirty_log.wp_faults dlog in
         ship_pages to_send;
@@ -255,7 +264,7 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
         end
         else if r + 1 >= plan.Plan.max_rounds then begin
           converged := false;
-          Machine.count machine "migrate.round_cap";
+          Machine.count machine Mark.round_cap;
           r + 1
         end
         else begin
@@ -271,7 +280,7 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
       (* Stop-and-copy: blackout begins. *)
       let pause_start = Sim.current_time () in
       paused := true;
-      Machine.count machine "migrate.blackout";
+      Machine.count machine Mark.blackout;
       spend "migrate.pause" (plan.Plan.vcpus * prof.Migrate_profile.pause_vcpu);
       let residual = Dirty_log.harvest dlog in
       let n = List.length residual in

@@ -2,8 +2,9 @@
 
     The hypervisor models mark every VM exit and re-entry with a
     zero-cost {!Armvirt_arch.Machine.count} whose label follows a fixed
-    grammar (below). A tracing session turns those counts into instant
-    events on the machine's ["cpu"] track; this module reduces a list of
+    grammar (below); {!Armvirt_arch.Marker} is its only producer. A
+    tracing session turns those counts into instant events on the
+    machine's ["cpu"] track; this module reduces a list of
     exported trace processes into what [kvm_stat] / [perf kvm stat]
     would show on real hardware: per-exit-reason counters, log2 exit
     latency histograms keyed by (cell, machine, hypervisor, PCPU), and
@@ -24,13 +25,6 @@
 
     Everything here is pure: input is event lists, output is
     deterministically ordered; no wall-clock, no randomness. *)
-
-val exit_label : hyp:string -> reason:string -> pcpu:int -> string
-(** Alias for {!Marker.exit_name}: raises [Invalid_argument] unless
-    [reason] is an {!Armvirt_arch.Esr.short_name} mnemonic. *)
-
-val entry_label : ?domid:int -> hyp:string -> pcpu:int -> unit -> string
-(** Alias for {!Marker.entry}. *)
 
 type marker =
   | Exit of { hyp : string; reason : string; pcpu : int }

@@ -3,7 +3,7 @@ module Cycles = Armvirt_engine.Cycles
 module Machine = Armvirt_arch.Machine
 module Packet = Armvirt_net.Packet
 module Link = Armvirt_net.Link
-module Marker = Armvirt_obs.Marker
+module Marker = Armvirt_arch.Marker
 
 type port = {
   port_id : int;
@@ -14,6 +14,9 @@ type port = {
   mutable tx_frames : int;
   mutable dropped : int;
   mutable egress_free_at : Cycles.t; (* per-port backend serialization *)
+  rx_marker : Marker.t;
+  tx_marker : Marker.t;
+  drop_marker : Marker.t;
 }
 
 type dest = Local of int | Via_uplink of int
@@ -26,6 +29,8 @@ type uplink = {
   (* Set by [connect]: runs the peer switch's ingress after the wire
      delivers a frame. *)
   mutable up_deliver : src:int -> dst:int -> Packet.t -> unit;
+  up_rx_marker : Marker.t;
+  up_tx_marker : Marker.t;
 }
 
 type t = {
@@ -38,6 +43,7 @@ type t = {
   mutable ports : port list; (* reverse attach order *)
   mutable uplinks : uplink list; (* reverse connect order *)
   mutable flooded : int;
+  flood_marker : Marker.t;
 }
 
 let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
@@ -52,6 +58,7 @@ let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
     ports = [];
     uplinks = [];
     flooded = 0;
+    flood_marker = Marker.flood ~switch:name;
   }
 
 let name t = t.name
@@ -75,6 +82,9 @@ let attach t ~mac ~deliver =
       tx_frames = 0;
       dropped = 0;
       egress_free_at = Cycles.zero;
+      rx_marker = Marker.port ~switch:t.name ~port:port_id Marker.Rx;
+      tx_marker = Marker.port ~switch:t.name ~port:port_id Marker.Tx;
+      drop_marker = Marker.port ~switch:t.name ~port:port_id Marker.Drop;
     }
   in
   t.ports <- p :: t.ports;
@@ -91,7 +101,7 @@ let set_handler t ~port deliver = (find_port t port).handler <- deliver
 let egress t p ~lead ~src ~dst pkt =
   if p.queued >= t.queue_capacity then begin
     p.dropped <- p.dropped + 1;
-    Machine.count t.machine (Marker.port ~switch:t.name ~port:p.port_id Marker.Drop)
+    Machine.count t.machine p.drop_marker
   end
   else begin
     p.queued <- p.queued + 1;
@@ -111,14 +121,13 @@ let egress t p ~lead ~src ~dst pkt =
         Sim.delay (Cycles.sub arrival now);
         p.queued <- p.queued - 1;
         p.tx_frames <- p.tx_frames + 1;
-        Machine.count t.machine
-          (Marker.port ~switch:t.name ~port:p.port_id Marker.Tx);
+        Machine.count t.machine p.tx_marker;
         p.handler ~src ~dst pkt)
   end
 
 let uplink_send t u ~src ~dst pkt =
   u.up_tx <- u.up_tx + 1;
-  Machine.count t.machine (Marker.uplink ~switch:t.name ~uplink:u.up_id Marker.Tx);
+  Machine.count t.machine u.up_tx_marker;
   (* Trunk ports tag the frame: +4 bytes of 802.1Q on the wire. *)
   Packet.set_framing pkt (Packet.framing_bytes pkt + Packet.vlan_tag_bytes);
   Link.send u.up_link pkt ~deliver:(fun pkt -> u.up_deliver ~src ~dst pkt)
@@ -165,7 +174,7 @@ let rec forward t ~ingress ~src ~dst pkt =
 
 and flood t ~ingress ~src ~dst pkt =
   t.flooded <- t.flooded + 1;
-  Machine.count t.machine (Marker.flood ~switch:t.name);
+  Machine.count t.machine t.flood_marker;
   let skip_port =
     match ingress with From_port i -> Some i | From_uplink _ -> None
   in
@@ -188,7 +197,7 @@ and flood t ~ingress ~src ~dst pkt =
 let transmit t ~port ~dst pkt =
   let p = find_port t port in
   p.rx_frames <- p.rx_frames + 1;
-  Machine.count t.machine (Marker.port ~switch:t.name ~port:p.port_id Marker.Rx);
+  Machine.count t.machine p.rx_marker;
   (* The sending guest's kick plus the backend's TX path, charged in
      the caller's (guest) process like the netperf model does. *)
   Machine.spend t.machine "vswitch.ingress"
@@ -196,13 +205,16 @@ let transmit t ~port ~dst pkt =
   forward t ~ingress:(From_port port) ~src:p.mac ~dst pkt
 
 let add_uplink t link =
+  let up_id = List.length t.uplinks in
   let u =
     {
-      up_id = List.length t.uplinks;
+      up_id;
       up_link = link;
       up_tx = 0;
       up_rx = 0;
       up_deliver = (fun ~src:_ ~dst:_ _ -> ());
+      up_rx_marker = Marker.uplink ~switch:t.name ~uplink:up_id Marker.Rx;
+      up_tx_marker = Marker.uplink ~switch:t.name ~uplink:up_id Marker.Tx;
     }
   in
   t.uplinks <- u :: t.uplinks;
@@ -215,15 +227,13 @@ let connect a b ~a_to_b ~b_to_a =
     (fun ~src ~dst pkt ->
       Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
       ub.up_rx <- ub.up_rx + 1;
-      Machine.count b.machine
-        (Marker.uplink ~switch:b.name ~uplink:ub.up_id Marker.Rx);
+      Machine.count b.machine ub.up_rx_marker;
       forward b ~ingress:(From_uplink ub.up_id) ~src ~dst pkt);
   ub.up_deliver <-
     (fun ~src ~dst pkt ->
       Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
       ua.up_rx <- ua.up_rx + 1;
-      Machine.count a.machine
-        (Marker.uplink ~switch:a.name ~uplink:ua.up_id Marker.Rx);
+      Machine.count a.machine ua.up_rx_marker;
       forward a ~ingress:(From_uplink ua.up_id) ~src ~dst pkt)
 
 type port_stats = {

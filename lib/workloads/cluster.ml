@@ -259,7 +259,10 @@ let run_loadgen ?(seed = 42) ?(requests = 1600) ?(payload = 128) ?(vms = 16)
   if requests < 1 then invalid_arg "Cluster.run_loadgen: requests < 1";
   if vms < 1 then invalid_arg "Cluster.run_loadgen: vms < 1";
   List.iter
-    (fun l -> if l <= 0.0 then invalid_arg "Cluster.run_loadgen: load <= 0")
+    (fun l ->
+      if not (Float.is_finite l) then
+        invalid_arg "Cluster.run_loadgen: non-finite load";
+      if l <= 0.0 then invalid_arg "Cluster.run_loadgen: load <= 0")
     loads;
   let machine = hyp.Hypervisor.machine in
   let sim = Machine.sim machine in

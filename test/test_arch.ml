@@ -116,7 +116,7 @@ let test_machine_spend_accounts () =
   in_process m (fun () ->
       Machine.spend m "test.op" 100;
       Machine.spend m "test.op" 20;
-      Machine.count m "test.events");
+      Machine.count m (Armvirt_arch.Marker.op ~hyp:"test" "events"));
   Alcotest.(check int) "label total" 120 (Counter.get (Machine.counters m) "test.op");
   Alcotest.(check int) "global cycles" 120
     (Counter.get (Machine.counters m) "cycles");

@@ -6,6 +6,7 @@ module Machine = Armvirt_arch.Machine
 module Cost_model = Armvirt_arch.Cost_model
 module Counter = Armvirt_stats.Counter
 module Esr = Armvirt_arch.Esr
+module Marker = Armvirt_arch.Marker
 module H = Armvirt_hypervisor
 
 let test_ec_encodings () =
@@ -42,55 +43,6 @@ let prop_encode_distinct =
       let a = List.nth Esr.all i and b = List.nth Esr.all j in
       i = j || Esr.encode a ~iss:0 <> Esr.encode b ~iss:0)
 
-let test_marker_parity () =
-  (* esr.mli promises short_name cls = Marker.reason_to_string
-     (marker_reason cls) for every class: the two mnemonic tables (arch
-     side and obs side) may never drift, because the M1 marker lint and
-     the stat report both parse labels back through Esr.short_name. *)
-  let module Marker = Armvirt_obs.Marker in
-  List.iter
-    (fun cls ->
-      Alcotest.(check string)
-        (Esr.describe cls)
-        (Esr.short_name cls)
-        (Marker.reason_to_string (Esr.marker_reason cls)))
-    Esr.all;
-  Alcotest.(check (list string))
-    "the reason enums cover the same set in the same order"
-    (List.map Esr.short_name Esr.all)
-    (List.map Marker.reason_to_string Marker.all_reasons);
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (Marker.reason_to_string r ^ " round-trips")
-        true
-        (Marker.reason_of_string (Marker.reason_to_string r) = Some r))
-    Marker.all_reasons;
-  Alcotest.(check bool) "unknown mnemonic rejected" true
-    (Marker.reason_of_string "hvcc" = None);
-  (* Builder output matches the legacy literal grammar byte for byte —
-     the STAT_baseline goldens depend on it. *)
-  Alcotest.(check string) "exit label" "kvm_arm.exit/hvc/p3"
-    (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:3);
-  Alcotest.(check string) "entry label" "xen_arm.entry/p2/d7"
-    (Marker.entry ~hyp:"xen_arm" ~pcpu:2 ~domid:7 ());
-  Alcotest.(check string) "entry without domain" "kvm_x86.entry/p0"
-    (Marker.entry ~hyp:"kvm_x86" ~pcpu:0 ());
-  Alcotest.(check string) "op label" "kvm_arm.hypercall"
-    (Marker.op ~hyp:"kvm_arm" "hypercall");
-  Alcotest.(check string) "port label" "vswitch.s0/p4/rx"
-    (Marker.port ~switch:"s0" ~port:4 Marker.Rx);
-  Alcotest.(check string) "flood label" "vswitch.s0/flood"
-    (Marker.flood ~switch:"s0");
-  Alcotest.(check string) "uplink label" "wire.s0-u1/tx"
-    (Marker.uplink ~switch:"s0" ~uplink:1 Marker.Tx);
-  Alcotest.check_raises "bad exit_name mnemonic rejected"
-    (Invalid_argument "Marker.exit_name: \"hvcc\" is not an exit mnemonic")
-    (fun () -> ignore (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvcc" ~pcpu:0));
-  Alcotest.check_raises "uplinks have no drop counter"
-    (Invalid_argument "Marker.uplink: wires carry rx/tx only")
-    (fun () -> ignore (Marker.uplink ~switch:"s0" ~uplink:0 Marker.Drop))
-
 let test_exit_reason_counters () =
   let machine =
     Machine.create (Sim.create ())
@@ -108,8 +60,7 @@ let test_exit_reason_counters () =
      all these paths run on VCPU0's PCPU 4. *)
   let reason cls =
     Counter.get counters
-      (Armvirt_obs.Accounting.exit_label ~hyp:"kvm_arm"
-         ~reason:(Esr.short_name cls) ~pcpu:4)
+      (Marker.exit ~hyp:"kvm_arm" ~reason:cls ~pcpu:4 :> string)
   in
   Alcotest.(check int) "two hypercall exits" 2 (reason Esr.Hvc64);
   Alcotest.(check int) "two MMIO exits (GIC access + kick)" 2
@@ -117,7 +68,7 @@ let test_exit_reason_counters () =
   Alcotest.(check int) "no IRQ exits in these paths" 0 (reason Esr.Irq);
   Alcotest.(check int) "every exit re-entered" 4
     (Counter.get counters
-       (Armvirt_obs.Accounting.entry_label ~hyp:"kvm_arm" ~pcpu:4 ~domid:1 ()))
+       (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ~domid:1 () :> string))
 
 let () =
   Alcotest.run "esr"
@@ -127,7 +78,6 @@ let () =
           Alcotest.test_case "EC encodings" `Quick test_ec_encodings;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           QCheck_alcotest.to_alcotest prop_encode_distinct;
-          Alcotest.test_case "marker parity" `Quick test_marker_parity;
           Alcotest.test_case "exit-reason counters" `Quick
             test_exit_reason_counters;
         ] );

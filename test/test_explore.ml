@@ -2,7 +2,8 @@
    points and byte-identical emitter output at every --jobs), Pareto
    correctness on hand-built sets, sensitivity ranking, and the
    calibration regression — a perturbed VGIC save cost must be
-   recovered within 5% from the paper's hypercall target. *)
+   recovered within 5% from the paper's hypercall target — plus fuzz
+   properties for the CLI's space, profile-mix and topology parsers. *)
 
 module Space = Armvirt_explore.Space
 module Config = Armvirt_explore.Config
@@ -59,7 +60,93 @@ let test_space_rejects_malformed () =
   rejects "noequals";
   rejects "a=1:10:0";
   rejects "a=10:1:2";
-  rejects "a=1|2,a=3|4"
+  rejects "a=1|2,a=3|4";
+  (* Non-finite numbers: a NaN bound used to loop forever in levels. *)
+  rejects "a=nan:5:1";
+  rejects "a=1:inf:1";
+  rejects "a=1.0:5.0:nan";
+  rejects "a=1|nan";
+  rejects "a=-inf|2.0"
+
+(* --- CLI spec parsers, fuzzed ----------------------------------------- *)
+
+(* Random strings over the specs' own alphabet, and one to four edits
+   (replace a byte, insert a piece, delete a byte) of a valid spec. A
+   piece is a byte or a number token a plain byte walk rarely spells. *)
+let fuzz_gen seeds =
+  let open QCheck.Gen in
+  let alphabet = "abkmrsvz0129.:|,=-_ \xff" in
+  let byte =
+    oneof
+      [ map (String.get alphabet) (int_bound (String.length alphabet - 1)); char ]
+  in
+  let piece =
+    oneof
+      [ map (String.make 1) byte; oneofl [ "nan"; "inf"; "-inf"; "1e999"; "0x1p4" ] ]
+  in
+  let edit s =
+    map3
+      (fun op pos p ->
+        let n = String.length s in
+        let pos = pos mod (n + 1) in
+        let cut k = String.sub s 0 pos ^ p ^ String.sub s (pos + k) (n - pos - k) in
+        match op with
+        | 0 when pos < n -> cut 1
+        | 1 -> cut 0
+        | _ when pos < n -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+        | _ -> s)
+      (int_bound 2) nat piece
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  oneof
+    [
+      map (String.concat "") (list_size (0 -- 12) piece);
+      pair (oneofl seeds) (1 -- 4) >>= fun (s, k) -> edits k s;
+    ]
+
+let fuzz ~name seeds accepts =
+  QCheck.Test.make ~count:2000 ~name
+    (QCheck.make ~print:(Printf.sprintf "%S") (fuzz_gen seeds))
+    accepts
+
+(* Only Invalid_argument may escape, and an accepted space has finite
+   float bounds and a positive step, so sampling it terminates. *)
+let prop_space_fuzz =
+  fuzz ~name:"Space.of_string rejects cleanly"
+    [ "vgic.save=2000:4375:625,lr_count=2|4,hyp=kvm|xen"; "freq_ghz=2.0:2.4:0.2" ]
+    (fun s ->
+      match Space.of_string s with
+      | exception Invalid_argument _ -> true
+      | space ->
+          List.for_all
+            (fun (a : Space.axis) ->
+              match a.Space.spec with
+              | Space.Int_range { step; _ } -> step > 0
+              | Space.Float_range { lo; hi; step } ->
+                  Float.is_finite lo && Float.is_finite hi
+                  && Float.is_finite step && step > 0.0
+              | Space.Levels vs ->
+                  vs <> []
+                  && List.for_all
+                       (function Space.Float f -> Float.is_finite f | _ -> true)
+                       vs)
+            space)
+
+let prop_mix_fuzz =
+  fuzz ~name:"Fleet_profiles.parse_mix rejects cleanly"
+    [ "memcached=1,kernbench=2"; "synthetic=3,apache" ]
+    (fun s ->
+      match Armvirt_workloads.Fleet_profiles.parse_mix s with
+      | Ok _ | Error _ -> true
+      | exception Invalid_argument _ -> true)
+
+let prop_topology_fuzz =
+  fuzz ~name:"Topology.spec_of_string rejects cleanly"
+    [ "single"; "pair"; "star"; "star:8" ]
+    (fun s ->
+      match Armvirt_vswitch.Topology.spec_of_string s with
+      | _ -> true
+      | exception Invalid_argument _ -> true)
 
 (* --- Sampler --------------------------------------------------------- *)
 
@@ -321,6 +408,9 @@ let () =
           Alcotest.test_case "rejects malformed" `Quick
             test_space_rejects_malformed;
         ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_space_fuzz; prop_mix_fuzz; prop_topology_fuzz ] );
       ( "sampler",
         [
           Alcotest.test_case "grid order" `Quick test_grid_order;

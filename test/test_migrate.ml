@@ -371,6 +371,24 @@ let explore_knobs () =
     (match C.apply base "mig.txn_rate_hz" (Space.Float (-1.0)) with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  (* NaN slips past every "< 0.0" check, so each float field is also
+     checked for finiteness (a NaN rate used to hang pre-copy). *)
+  List.iter
+    (fun (name, plan) ->
+      checkb (name ^ " rejected") true
+        (match M.Plan.validate plan with
+        | exception Invalid_argument _ -> true
+        | () -> false))
+    (let p = M.Plan.default in
+     [
+       ("NaN hot_fraction", { p with M.Plan.hot_fraction = Float.nan });
+       ("NaN txn_rate_hz", { p with M.Plan.txn_rate_hz = Float.nan });
+       ("infinite txn_rate_hz", { p with M.Plan.txn_rate_hz = Float.infinity });
+       ("NaN downtime", { p with M.Plan.downtime_target_us = Float.nan });
+       ("infinite bandwidth", { p with M.Plan.bandwidth_gbps = Float.infinity });
+       ("NaN warmup_us", { p with M.Plan.warmup_us = Float.nan });
+       ("NaN tail_us", { p with M.Plan.tail_us = Float.nan });
+     ]);
   let documented name =
     List.exists (fun (k : C.knob) -> String.equal k.C.name name) C.knobs
   in

@@ -121,16 +121,17 @@ let test_trace_records_spends () =
       ~num_cpus:2
   in
   let tracer = Tracer.create () in
+  let marker = Armvirt_arch.Marker.op ~hyp:"test" "marker" in
   Observe.trace_machine tracer machine;
   Sim.spawn sim ~name:"worker" (fun () ->
       Machine.spend machine "step.a" 100;
-      Machine.count machine "marker";
+      Machine.count machine marker;
       Machine.spend machine "step.b" 50;
       Machine.spend machine "step.a" 25);
   Sim.run sim;
   let events = Tracer.events tracer in
   Alcotest.(check (list (pair string int))) "spans and instants, in order"
-    [ ("step.a", 0); ("marker", 100); ("step.b", 100); ("step.a", 150) ]
+    [ ("step.a", 0); ("test.marker", 100); ("step.b", 100); ("step.a", 150) ]
     (List.map (fun e -> (e.Span.name, e.Span.ts)) events);
   Alcotest.(check string) "ledger"
     "         100  +100    step.a\n\
@@ -142,7 +143,7 @@ let test_trace_records_spends () =
   Machine.observe_count machine None;
   Sim.spawn sim ~name:"worker2" (fun () ->
       Machine.spend machine "step.c" 10;
-      Machine.count machine "marker");
+      Machine.count machine marker);
   Sim.run sim;
   Alcotest.(check int) "no longer recording" 4
     (List.length (Tracer.events tracer))

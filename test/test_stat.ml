@@ -14,11 +14,15 @@ module Runner = Armvirt_core.Runner
 module Platform = Armvirt_core.Platform
 module Stat_report = Armvirt_core.Stat_report
 module W = Armvirt_workloads
+module Marker = Armvirt_arch.Marker
+module Esr = Armvirt_arch.Esr
+
+let label (m : Marker.t) = (m :> string)
 
 (* --- marker grammar -------------------------------------------------- *)
 
 let test_parse_label () =
-  let exit_l = Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4 in
+  let exit_l = label (Marker.exit ~hyp:"kvm_arm" ~reason:Esr.Hvc64 ~pcpu:4) in
   Alcotest.(check string) "exit label" "kvm_arm.exit/hvc/p4" exit_l;
   (match Accounting.parse_label exit_l with
   | Some (Accounting.Exit { hyp; reason; pcpu }) ->
@@ -26,7 +30,7 @@ let test_parse_label () =
       Alcotest.(check string) "reason" "hvc" reason;
       Alcotest.(check int) "pcpu" 4 pcpu
   | _ -> Alcotest.fail "exit label did not parse as Exit");
-  let entry_l = Accounting.entry_label ~domid:0 ~hyp:"xen_arm" ~pcpu:5 () in
+  let entry_l = label (Marker.entry ~domid:0 ~hyp:"xen_arm" ~pcpu:5 ()) in
   Alcotest.(check string) "entry label" "xen_arm.entry/p5/d0" entry_l;
   (match Accounting.parse_label entry_l with
   | Some (Accounting.Entry { hyp; pcpu; domid }) ->
@@ -41,7 +45,95 @@ let test_parse_label () =
   | _ -> Alcotest.fail "dotted non-marker label should be an Op");
   Alcotest.(check bool)
     "dot-free labels are not markers" true
-    (Accounting.parse_label "spawn" = None)
+    (Accounting.parse_label "spawn" = None);
+  (* The builders render the committed goldens' row keys byte for byte. *)
+  List.iter
+    (fun (expected, m) -> Alcotest.(check string) expected expected (label m))
+    [
+      ("kvm_x86.entry/p0", Marker.entry ~hyp:"kvm_x86" ~pcpu:0 ());
+      ("kvm_arm.hypercall", Marker.op ~hyp:"kvm_arm" "hypercall");
+      ("vswitch.s0/p4/rx", Marker.port ~switch:"s0" ~port:4 Marker.Rx);
+      ("vswitch.s0/flood", Marker.flood ~switch:"s0");
+      ("wire.s0-u1/tx", Marker.uplink ~switch:"s0" ~uplink:1 Marker.Tx);
+    ];
+  Alcotest.check_raises "hypervisor must be an identifier"
+    (Invalid_argument
+       "Marker: hypervisor \"Bad.Hyp\" is not a lowercase identifier")
+    (fun () -> ignore (Marker.entry ~hyp:"Bad.Hyp" ~pcpu:0 ()));
+  Alcotest.check_raises "an op cannot smuggle in an exit"
+    (Invalid_argument "Marker.op: \"exit/hvc/p0\" must match [a-z0-9_]+")
+    (fun () -> ignore (Marker.op ~hyp:"kvm_arm" "exit/hvc/p0"));
+  Alcotest.check_raises "uplinks have no drop counter"
+    (Invalid_argument "Marker.uplink: wires carry rx/tx only")
+    (fun () -> ignore (Marker.uplink ~switch:"s0" ~uplink:0 Marker.Drop))
+
+(* Every builder's label parses back into the constructor and fields it
+   was built from: the stat report cannot silently lose a row. *)
+let prop_marker_round_trip =
+  let open QCheck.Gen in
+  let ident =
+    map2
+      (fun c rest -> String.make 1 c ^ rest)
+      (char_range 'a' 'z')
+      (string_size (0 -- 7)
+         ~gen:(oneof [ char_range 'a' 'z'; char_range '0' '9'; return '_' ]))
+  in
+  let op_name =
+    string_size (1 -- 8)
+      ~gen:(oneof [ char_range 'a' 'z'; char_range '0' '9'; return '_' ])
+  in
+  let index = oneof [ small_nat; int_bound 1_000_000_000 ] in
+  let dir_name = function
+    | Marker.Rx -> "rx"
+    | Marker.Tx -> "tx"
+    | Marker.Drop -> "drop"
+  in
+  let built =
+    oneof
+      [
+        map3
+          (fun hyp reason pcpu ->
+            ( Marker.exit ~hyp ~reason ~pcpu,
+              Accounting.Exit { hyp; reason = Esr.short_name reason; pcpu } ))
+          ident (oneofl Esr.all) index;
+        map3
+          (fun hyp pcpu domid ->
+            ( Marker.entry ?domid ~hyp ~pcpu (),
+              Accounting.Entry { hyp; pcpu; domid } ))
+          ident index (opt index);
+        map2
+          (fun hyp op -> (Marker.op ~hyp op, Accounting.Op { hyp; op }))
+          ident op_name;
+        map3
+          (fun switch port dir ->
+            ( Marker.port ~switch ~port dir,
+              Accounting.Op
+                {
+                  hyp = "vswitch";
+                  op = Printf.sprintf "%s/p%d/%s" switch port (dir_name dir);
+                } ))
+          ident index
+          (oneofl [ Marker.Rx; Marker.Tx; Marker.Drop ]);
+        map
+          (fun switch ->
+            ( Marker.flood ~switch,
+              Accounting.Op { hyp = "vswitch"; op = switch ^ "/flood" } ))
+          ident;
+        map3
+          (fun switch uplink dir ->
+            ( Marker.uplink ~switch ~uplink dir,
+              Accounting.Op
+                {
+                  hyp = "wire";
+                  op = Printf.sprintf "%s-u%d/%s" switch uplink (dir_name dir);
+                } ))
+          ident index
+          (oneofl [ Marker.Rx; Marker.Tx ]);
+      ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"marker round-trip"
+    (QCheck.make ~print:(fun (m, _) -> label m) built)
+    (fun (m, expected) -> Accounting.parse_label (label m) = Some expected)
 
 (* --- synthetic trace for pairing/lanes/renderers --------------------- *)
 
@@ -60,15 +152,15 @@ let synthetic_process =
     events =
       [
         ev 100
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
+          (label (Marker.exit ~hyp:"kvm_arm" ~reason:Esr.Hvc64 ~pcpu:4))
           Span.Instant;
         ev 150 "kvm_arm.host_dispatch" (Span.Complete 300);
         ev 700
-          (Accounting.entry_label ~hyp:"kvm_arm" ~pcpu:4 ())
+          (label (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ()))
           Span.Instant;
         ev 800 "vm_processing" (Span.Complete 500);
         ev 1400
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
+          (label (Marker.exit ~hyp:"kvm_arm" ~reason:Esr.Hvc64 ~pcpu:4))
           Span.Instant;
         ev 1450 "kvm_arm.vipi" Span.Instant;
       ];
@@ -179,19 +271,19 @@ let fleet_process =
     events =
       [
         ev 100
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:0)
+          (label (Marker.exit ~hyp:"kvm_arm" ~reason:Esr.Hvc64 ~pcpu:0))
           Span.Instant;
         ev 200
-          (Accounting.entry_label ~domid:0 ~hyp:"kvm_arm" ~pcpu:0 ())
+          (label (Marker.entry ~domid:0 ~hyp:"kvm_arm" ~pcpu:0 ()))
           Span.Instant;
         ev 300
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"irq" ~pcpu:0)
+          (label (Marker.exit ~hyp:"kvm_arm" ~reason:Esr.Irq ~pcpu:0))
           Span.Instant;
         ev 350
-          (Accounting.entry_label ~domid:1 ~hyp:"kvm_arm" ~pcpu:0 ())
+          (label (Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:0 ()))
           Span.Instant;
         ev 400
-          (Accounting.entry_label ~domid:0 ~hyp:"kvm_arm" ~pcpu:1 ())
+          (label (Marker.entry ~domid:0 ~hyp:"kvm_arm" ~pcpu:1 ()))
           Span.Instant;
       ];
   }
@@ -255,7 +347,7 @@ let test_per_domain_diff () =
         fleet_process.Export.events
         @ [
             ev 500
-              (Accounting.entry_label ~domid:1 ~hyp:"kvm_arm" ~pcpu:1 ())
+              (label (Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:1 ()))
               Span.Instant;
           ];
     }
@@ -375,7 +467,7 @@ let test_diff () =
         synthetic_process.Export.events
         @ [
             ev 2000
-              (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
+              (label (Marker.exit ~hyp:"kvm_arm" ~reason:Esr.Hvc64 ~pcpu:4))
               Span.Instant;
             ev 2100 "kvm_arm.host_dispatch" (Span.Complete 900);
           ];
@@ -530,6 +622,7 @@ let () =
           Alcotest.test_case "pairing and lanes" `Quick
             test_pairing_and_lanes;
           Alcotest.test_case "lane rules" `Quick test_lane_rules;
+          QCheck_alcotest.to_alcotest prop_marker_round_trip;
         ] );
       ( "render",
         [
