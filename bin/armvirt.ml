@@ -29,7 +29,6 @@ module Report = Armvirt_core.Report
 module Observe = Armvirt_core.Observe
 module Stat_report = Armvirt_core.Stat_report
 module Export = Armvirt_obs.Export
-module Metrics = Armvirt_obs.Metrics
 module Stat = Armvirt_obs.Stat
 module W = Armvirt_workloads
 module Hypervisor = Armvirt_hypervisor.Hypervisor
@@ -93,14 +92,17 @@ let resolve platform hyp =
   | Some id -> Platform.hypervisor platform id
   | None -> Platform.native platform
 
-let positive_int =
+let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg "must be a positive integer")
+    | Some n when n >= lo -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "must be an integer >= %d" lo))
     | None -> Error (`Msg "expected an integer")
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let non_negative_int = int_at_least 0
 
 (* Experiment ids, straight from the catalog: an unknown id is a usage
    error before anything runs. *)
@@ -186,9 +188,9 @@ let verbose_arg =
     value & flag
     & info [ "verbose" ]
         ~doc:
-          "After the run, print runner metrics: memo hits/misses, per-cell \
-           wall time, and the full metric registry in Prometheus text \
-           format.")
+          "After the run, print memo hits/misses, the host wall time of \
+           each recorded cell, and the run trace's cycle attribution by \
+           category.")
 
 (* Direct workload paths (micro/app/rr) never go through Runner.map, so
    they record themselves as one explicit cell. No-op when tracing is
@@ -218,7 +220,11 @@ let print_verbose ppf =
   let hits, misses = Experiment.memo_stats () in
   Format.fprintf ppf "@.-- runner metrics --@.";
   Format.fprintf ppf "memo: %d hits, %d misses@." hits misses;
-  Metrics.pp_prometheus ppf (Observe.metrics ())
+  List.iter
+    (fun (c : Observe.cell) ->
+      Format.fprintf ppf "wall %s %.6f s@." c.label c.wall_s)
+    (Observe.cells ());
+  Export.summary ppf (Observe.processes ())
 
 let stat_file_arg =
   Arg.(
@@ -239,23 +245,24 @@ let write_stat ~context path =
   in
   with_out ~note path (fun out -> Stat.render_json ~context out acct)
 
-(* Tracing, [--stat] and [--verbose] share a session: all need the
-   observer hooks installed; they differ only in what is exported
-   afterwards. *)
-let with_session ~context ?(stat_file = None) ~trace_file ~verbose f =
-  if trace_file = None && stat_file = None && not verbose then f ()
+(* Every observed run goes through here: [--trace], [--stat],
+   [--verbose] and the [trace]/[stat] commands' own [export] all read
+   one session's trace. [f] runs inside a fresh session; the requested
+   outputs are written while it is still live. With none requested, [f]
+   runs unobserved. *)
+let with_session ~context ?(stat_file = None) ?(trace_file = None)
+    ?(verbose = false) ?export f =
+  if trace_file = None && stat_file = None && (not verbose)
+     && Option.is_none export
+  then f ()
   else begin
     Observe.enable ~context ();
-    Observe.set_verbose verbose;
     Fun.protect ~finally:Observe.disable (fun () ->
         let v = f () in
-        (match trace_file with
-        | Some path -> write_trace ~format:`Chrome path
-        | None -> ());
-        (match stat_file with
-        | Some path -> write_stat ~context path
-        | None -> ());
+        Option.iter (write_trace ~format:`Chrome) trace_file;
+        Option.iter (write_stat ~context) stat_file;
         if verbose then print_verbose ppf;
+        Option.iter (fun export -> export ()) export;
         v)
   end
 
@@ -281,46 +288,42 @@ let perturbed_kvm_arm save =
   Armvirt_hypervisor.Kvm_arm.to_hypervisor
     (Armvirt_hypervisor.Kvm_arm.create (Platform.machine_with ~cost))
 
-(* The one target resolver of [trace] and [stat]. Runs [target] inside a
-   fresh observer session: a direct workload path as one explicit cell
-   on the -p/-H model, or a catalog experiment with its report
-   discarded. Then runs [export ()] while the session is still live. *)
-let observe_target ?iterations ?perturb_vgic_save platform hyp target export =
-  Observe.enable ~context:target ();
-  Fun.protect ~finally:Observe.disable (fun () ->
-      (* Hypervisors (and their machines) must be built inside the
-         captured cell so the tracer attaches to them. *)
-      (match target with
-      | "micro" ->
-          traced_cell "micro#0.0" (fun () ->
-              let hypervisor =
-                match perturb_vgic_save with
-                | None -> resolve platform hyp
-                | Some save -> perturbed_kvm_arm save
-              in
-              ignore (W.Microbench.run ?iterations hypervisor))
-      | "rr" ->
-          traced_cell "rr#0.0" (fun () ->
-              ignore (W.Netperf.run_tcp_rr (resolve platform hyp)))
-      | "fleet" ->
-          traced_cell "fleet#0.0" (fun () ->
-              let desc =
-                Fleet.Descriptor.v ~vms:8 [ (Fleet.Descriptor.synthetic, 1) ]
-              in
-              ignore (Fleet.Scenario.boot_storm (resolve platform hyp) desc))
-      | "cluster" ->
-          (* A traced two-host service chain: the vswitch.* and wire.*
-             per-port counters surface as operation rows. *)
-          traced_cell "cluster#0.0" (fun () ->
-              ignore (W.Cluster.run_chain ~requests:40 (resolve platform hyp)))
-      | id -> (
-          match Catalog.find id with
-          | Some e -> e.run null_ppf
-          | None ->
-              Format.fprintf ppf "unknown experiment %S; try `armvirt list`@."
-                id;
-              exit 2));
-      export ())
+(* The one target resolver of [trace] and [stat], run inside their
+   session: a direct workload path as one explicit cell on the -p/-H
+   model, or a catalog experiment with its report discarded. *)
+let run_target ?iterations ?perturb_vgic_save platform hyp target () =
+  (* Hypervisors (and their machines) must be built inside the captured
+     cell so the tracer attaches to them. *)
+  match target with
+  | "micro" ->
+      traced_cell "micro#0.0" (fun () ->
+          let hypervisor =
+            match perturb_vgic_save with
+            | None -> resolve platform hyp
+            | Some save -> perturbed_kvm_arm save
+          in
+          ignore (W.Microbench.run ?iterations hypervisor))
+  | "rr" ->
+      traced_cell "rr#0.0" (fun () ->
+          ignore (W.Netperf.run_tcp_rr (resolve platform hyp)))
+  | "fleet" ->
+      traced_cell "fleet#0.0" (fun () ->
+          let desc =
+            Fleet.Descriptor.v ~vms:8 [ (Fleet.Descriptor.synthetic, 1) ]
+          in
+          ignore (Fleet.Scenario.boot_storm (resolve platform hyp) desc))
+  | "cluster" ->
+      (* A traced two-host service chain: the vswitch.* and wire.*
+         per-port counters surface as operation rows. *)
+      traced_cell "cluster#0.0" (fun () ->
+          ignore (W.Cluster.run_chain ~requests:40 (resolve platform hyp)))
+  | id -> (
+      match Catalog.find id with
+      | Some e -> e.run null_ppf
+      | None ->
+          Format.fprintf ppf "unknown experiment %S; try `armvirt list`@."
+            id;
+          exit 2)
 
 (* --- list ------------------------------------------------------------- *)
 
@@ -383,8 +386,7 @@ let micro_cmd =
   let iterations = iterations_arg ~doc:"Iterations per microbenchmark." in
   let run platform hyp iterations jobs trace_file stat_file =
     apply_jobs jobs;
-    with_session ~context:"micro" ~stat_file ~trace_file ~verbose:false
-      (fun () ->
+    with_session ~context:"micro" ~stat_file ~trace_file (fun () ->
         (* The hypervisor (and its machine) must be built inside the
            captured cell so the tracer attaches to it. *)
         traced_cell "micro#0.0" (fun () ->
@@ -447,8 +449,7 @@ let app_cmd =
   in
   let run platform hyp workload distribute jobs trace_file stat_file =
     apply_jobs jobs;
-    with_session ~context:"app" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+    with_session ~context:"app" ~stat_file ~trace_file @@ fun () ->
     traced_cell "app#0.0" @@ fun () ->
     let hypervisor = resolve platform hyp in
     let pp_stream (r : W.Netperf.stream_result) =
@@ -490,7 +491,7 @@ let rr_cmd =
       & info [ "transactions" ] ~docv:"N" ~doc:"Transactions to simulate.")
   in
   let run platform hyp transactions trace_file =
-    with_session ~context:"rr" ~trace_file ~verbose:false @@ fun () ->
+    with_session ~context:"rr" ~trace_file @@ fun () ->
     traced_cell "rr#0.0" @@ fun () ->
     let hypervisor = resolve platform hyp in
     let r = W.Netperf.run_tcp_rr ~transactions hypervisor in
@@ -534,7 +535,9 @@ let trace_cmd =
   in
   let run platform hyp jobs target out format =
     apply_jobs jobs;
-    observe_target platform hyp target (fun () -> write_trace ~format out)
+    with_session ~context:target
+      ~export:(fun () -> write_trace ~format out)
+      (run_target platform hyp target)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -580,7 +583,7 @@ let stat_cmd =
   in
   let top =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "top" ] ~docv:"N"
           ~doc:"Keep only the top $(docv) exit reasons by count; 0 = all.")
   in
@@ -630,7 +633,7 @@ let stat_cmd =
   in
   let perturb_vgic_save =
     Arg.(
-      value & opt (some int) None
+      value & opt (some non_negative_int) None
       & info [ "perturb-vgic-save" ] ~docv:"CYCLES"
           ~doc:
             "Self-test hook for the $(b,--diff) gate: run the $(b,micro) \
@@ -670,8 +673,8 @@ let stat_cmd =
     else
       match targets with
       | [ target ] ->
-          observe_target ~iterations ?perturb_vgic_save platform hyp target
-            (fun () ->
+          with_session ~context:target
+            ~export:(fun () ->
               let acct = Stat_report.of_session () in
               let opts = { Stat.per_vcpu; per_domain; top } in
               with_out out (fun fmt ->
@@ -679,6 +682,7 @@ let stat_cmd =
                   | `Text -> Stat.render_text ~opts ~context:target fmt acct
                   | `Csv -> Stat.render_csv ~opts ~context:target fmt acct
                   | `Json -> Stat.render_json ~opts ~context:target fmt acct))
+            (run_target ~iterations ?perturb_vgic_save platform hyp target)
       | _ ->
           Format.fprintf ppf
             "stat needs one target (or --diff OLD NEW / --crosscheck); try \
@@ -888,9 +892,19 @@ let explore_cmd =
             | [] -> [ Explore.Objective.find "hypercall" ]
             | l -> l
           in
+          let reaches_native (a : Explore.Space.axis) =
+            a.name = "hyp"
+            && List.mem (Explore.Space.Choice "native") (Explore.Space.levels a)
+          in
+          if List.exists Explore.Objective.paper_error objectives
+             && List.exists reaches_native space
+          then (
+            Format.fprintf ppf
+              "paper-error objectives need hyp=kvm or hyp=xen: Table II has \
+               no native column@.";
+            exit 2);
           let base = Explore.Config.default in
-          with_session ~context:"explore" ~trace_file ~verbose:false
-          @@ fun () ->
+          with_session ~context:"explore" ~trace_file @@ fun () ->
           if calibrate then begin
             let objective = List.hd objectives in
             let r =
@@ -1036,8 +1050,7 @@ let migrate_cmd =
     | exception Invalid_argument msg ->
         Format.fprintf ppf "invalid plan: %s@." msg;
         exit 2);
-    with_session ~context:"migrate" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+    with_session ~context:"migrate" ~stat_file ~trace_file @@ fun () ->
     let results =
       if compare then Experiment.migrate ~plan ()
       else
@@ -1121,8 +1134,7 @@ let fleet_cmd =
     | exception Invalid_argument msg ->
         Format.fprintf ppf "invalid fleet: %s@." msg;
         exit 2);
-    with_session ~context:"fleet" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+    with_session ~context:"fleet" ~stat_file ~trace_file @@ fun () ->
     let header, rows =
       match scenario with
       | `Boot ->
@@ -1286,8 +1298,10 @@ let cluster_cmd =
         Format.fprintf ppf "--offered-load points must be positive and finite@.";
         exit 2
     | _ -> ());
-    with_session ~context:"cluster" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+    if scenario = `Matrix && Option.value vms ~default:4 < 2 then (
+      Format.fprintf ppf "invalid cluster: the matrix scenario needs --vms >= 2@.";
+      exit 2);
+    with_session ~context:"cluster" ~stat_file ~trace_file @@ fun () ->
     let header, rows =
       match scenario with
       | `Matrix ->

@@ -18,7 +18,7 @@ module Engine = Armvirt_engine
 
 module Obs = Armvirt_obs
 (** Structured observability: span tracing, Chrome/Perfetto export,
-    labelled metric registries. *)
+    exit accounting over the trace, an observed run's one record. *)
 
 module Stats = Armvirt_stats
 (** Summaries, histograms, counters, barriered cycle counters, traces. *)

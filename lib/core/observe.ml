@@ -3,31 +3,25 @@ module Cycles = Armvirt_engine.Cycles
 module Machine = Armvirt_arch.Machine
 module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
-module Metrics = Armvirt_obs.Metrics
 module Export = Armvirt_obs.Export
 
 type cell = {
   label : string;
   events : Span.event list;
   dropped : int;
-  metrics : Metrics.t;
+  wall_s : float;
 }
 
 (* One live collector per domain: the runner executes each cell on one
    domain, and [capture] scopes a collector to the cell so concurrent
    cells never share a tracer. *)
-type live = {
-  tracer : Tracer.t;
-  cell_metrics : Metrics.t;
-  mutable machines : int;
-}
+type live = { tracer : Tracer.t; mutable machines : int }
 
 let live_key : live option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let default_capacity = 1 lsl 18
 
 let enabled = ref false
-let verbose_flag = ref false
 let ring_capacity = ref default_capacity
 let context_name = ref "run"
 let map_seq = Atomic.make 0
@@ -35,34 +29,24 @@ let map_seq = Atomic.make 0
 (* Everything below the lock is shared across runner domains. *)
 let lock = Mutex.create ()
 let sink : cell list ref = ref [] (* newest first *)
-let global = ref (Metrics.create ())
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let active () = !enabled
-let set_verbose v = verbose_flag := v
-let verbose () = !verbose_flag
 let context () = !context_name
 let next_map_seq () = Atomic.fetch_and_add map_seq 1
 
 (* --- machine instrumentation --------------------------------------- *)
 
-let trace_machine ?metrics ?(prefix = "") tracer m =
+let trace_machine ?(prefix = "") tracer m =
   let track = prefix ^ "cpu" in
   Machine.observe m
     (Some
        (fun ~label ~cycles ~now ->
-         let cat = Span.of_label label in
-         Tracer.complete tracer ~track ~cat ~name:label
-           ~ts:(Cycles.to_int now - cycles) ~dur:cycles;
-         match metrics with
-         | None -> ()
-         | Some metrics ->
-             Metrics.incr metrics
-               ~labels:[ ("category", Span.category_to_string cat) ]
-               ~by:cycles "spend_cycles_total"));
+         Tracer.complete tracer ~track ~cat:(Span.of_label label) ~name:label
+           ~ts:(Cycles.to_int now - cycles) ~dur:cycles));
   (* Counts become instants on the same cpu track: the accounting layer
      pairs exit/entry markers against it to derive exit latencies. *)
   Machine.observe_count m
@@ -86,8 +70,8 @@ let attach live m =
   let idx = live.machines in
   live.machines <- idx + 1;
   let prefix = if idx = 0 then "" else Printf.sprintf "m%d:" idx in
-  let tracer = live.tracer and metrics = live.cell_metrics in
-  trace_machine ~metrics ~prefix tracer m;
+  let tracer = live.tracer in
+  trace_machine ~prefix tracer m;
   (* Park times keyed by pid so blocked spans pair correctly even when
      several processes share a display name. *)
   let parked : (int, int) Hashtbl.t = Hashtbl.create 32 in
@@ -97,8 +81,7 @@ let attach live m =
          Sim.on_spawn =
            (fun ~id:_ ~name ~at ->
              Tracer.instant tracer ~track:(prefix ^ name) ~cat:Span.Sched
-               ~name:"spawn" ~ts:at;
-             Metrics.incr metrics "sim_processes_spawned_total");
+               ~name:"spawn" ~ts:at);
          on_park = (fun ~id ~name:_ ~at -> Hashtbl.replace parked id at);
          on_wake =
            (fun ~id ~name ~at ->
@@ -112,17 +95,11 @@ let attach live m =
          on_contention =
            (fun ~resource ~proc ~at ~waited ->
              Tracer.complete tracer ~track:(prefix ^ proc) ~cat:Span.Sched
-               ~name:("contention:" ^ resource) ~ts:at ~dur:waited;
-             Metrics.observe metrics
-               ~labels:[ ("resource", resource) ]
-               "sim_contention_wait_cycles" (float_of_int waited));
+               ~name:("contention:" ^ resource) ~ts:at ~dur:waited);
          on_queue_depth =
            (fun ~mailbox ~at ~depth ->
              Tracer.value tracer ~track:(prefix ^ "mb:" ^ mailbox)
-               ~cat:Span.Io ~name:mailbox ~ts:at ~value:depth;
-             Metrics.observe metrics
-               ~labels:[ ("mailbox", mailbox) ]
-               "sim_mailbox_depth" (float_of_int depth));
+               ~cat:Span.Io ~name:mailbox ~ts:at ~value:depth);
        })
 
 let machine_hook m =
@@ -133,9 +110,7 @@ let machine_hook m =
 (* --- session lifecycle --------------------------------------------- *)
 
 let enable ?(capacity = default_capacity) ~context () =
-  locked (fun () ->
-      sink := [];
-      global := Metrics.create ());
+  locked (fun () -> sink := []);
   context_name := context;
   Atomic.set map_seq 0;
   ring_capacity := capacity;
@@ -156,45 +131,32 @@ let capture ~label f =
         (f (), None)
     | None ->
         let live =
-          {
-            tracer = Tracer.create ~capacity:!ring_capacity ();
-            cell_metrics = Metrics.create ();
-            machines = 0;
-          }
+          { tracer = Tracer.create ~capacity:!ring_capacity (); machines = 0 }
         in
         Domain.DLS.set live_key (Some live);
-        (* cell_wall_seconds is host-side profiling, never byte-compared *)
-        (* lint: allow R2 — host-side wall-clock profiling gauge *)
+        (* wall_s is host-side profiling for --verbose, never byte-compared *)
+        (* lint: allow R2 — host-side wall-clock profiling *)
         let t0 = Unix.gettimeofday () in
-        let finish () = Domain.DLS.set live_key None in
         let result = try Ok (f ()) with e -> Error e in
-        finish ();
+        Domain.DLS.set live_key None;
         (match result with
         | Error e -> raise e
         | Ok v ->
-            Metrics.set_gauge live.cell_metrics
-              ~labels:[ ("cell", label) ]
-              "cell_wall_seconds"
-              (* lint: allow R2 — same host-side profiling gauge as above *)
-              (Unix.gettimeofday () -. t0);
             ( v,
               Some
                 {
                   label;
                   events = Tracer.events live.tracer;
                   dropped = Tracer.dropped live.tracer;
-                  metrics = live.cell_metrics;
+                  (* lint: allow R2 — same host-side profiling as above *)
+                  wall_s = Unix.gettimeofday () -. t0;
                 } ))
 
 let record_cells captured =
   if !enabled then
     locked (fun () ->
         Array.iter
-          (function
-            | None -> ()
-            | Some c ->
-                sink := c :: !sink;
-                Metrics.merge_into ~dst:!global c.metrics)
+          (function None -> () | Some c -> sink := c :: !sink)
           captured)
 
 let cells () = locked (fun () -> List.rev !sink)
@@ -204,13 +166,3 @@ let processes () =
     (fun i (c : cell) ->
       { Export.pid = i; name = c.label; events = c.events; dropped = c.dropped })
     (cells ())
-
-let metrics () = locked (fun () -> !global)
-
-let note_memo_hit () =
-  if !enabled then
-    locked (fun () -> Metrics.incr !global "runner_memo_hits_total")
-
-let note_memo_miss () =
-  if !enabled then
-    locked (fun () -> Metrics.incr !global "runner_memo_misses_total")

@@ -3,21 +3,21 @@
 
     A session is process-global ({!enable} … {!disable}); within it, the
     runner wraps each simulation cell in {!capture}, which gives the
-    cell a private tracer and metric registry on its executing domain
-    (via [Domain.DLS]). A {!Armvirt_arch.Machine.set_create_hook} hook
-    attaches both to every machine the cell builds: {!trace_machine}
+    cell a private tracer on its executing domain (via [Domain.DLS]). A
+    {!Armvirt_arch.Machine.set_create_hook} hook attaches it to every
+    machine the cell builds: {!trace_machine}
     turns its [spend] and [count] calls into spans and instants on the
     machine's ["cpu"] track, and an engine observer
     ({!Armvirt_engine.Sim.set_observer}) records process spawns, blocked
     intervals, resource contention and mailbox depths on per-process
     tracks. {!record_cells} then merges finished cells back {e in input
     order}, so exported traces are byte-identical at any [--jobs]
-    level. *)
+    level. The trace is a session's one record: every report about an
+    observed run is computed from it. *)
 
 (** {1 Tracing one machine} *)
 
 val trace_machine :
-  ?metrics:Armvirt_obs.Metrics.t ->
   ?prefix:string ->
   Armvirt_obs.Tracer.t ->
   Armvirt_arch.Machine.t ->
@@ -26,8 +26,7 @@ val trace_machine :
     ({!Armvirt_arch.Machine.observe}, {!Armvirt_arch.Machine.observe_count}):
     every [spend] becomes a complete span and every [count] an instant
     on the [prefix ^ "cpu"] track (default prefix [""]), categorised
-    with {!Armvirt_obs.Span.of_label}. With [metrics], each spend also
-    adds its cycles to [spend_cycles_total{category}]. Replaces any
+    with {!Armvirt_obs.Span.of_label}. Replaces any
     observers already installed; clear both slots with [None] to stop.
     The session, the stat crosscheck and [armvirt timeline] all record
     through this one wiring. *)
@@ -43,11 +42,11 @@ type cell = {
   label : string;  (** ["<context>#<map>.<index>"], from the runner. *)
   events : Armvirt_obs.Span.event list;
   dropped : int;
-  metrics : Armvirt_obs.Metrics.t;
+  wall_s : float;  (** Host wall time of the cell, for [--verbose]. *)
 }
 
 val enable : ?capacity:int -> context:string -> unit -> unit
-(** Starts a session: clears previously collected cells and metrics,
+(** Starts a session: clears previously collected cells,
     names the session [context] (used in cell labels), bounds each
     cell's event ring at [capacity] (default 2{^18}) and installs the
     machine-creation hook. Call before any {!Runner.map}. *)
@@ -55,12 +54,6 @@ val enable : ?capacity:int -> context:string -> unit -> unit
 val disable : unit -> unit
 
 val active : unit -> bool
-
-val set_verbose : bool -> unit
-
-val verbose : unit -> bool
-(** Independent of tracing: [--verbose] prints runner metrics even for
-    untraced runs. *)
 
 val context : unit -> string
 
@@ -74,21 +67,11 @@ val capture : label:string -> (unit -> 'a) -> 'a * cell option
     this domain (the work is then attributed to the enclosing cell). *)
 
 val record_cells : cell option array -> unit
-(** Appends captured cells to the session — callers pass the array in
-    cell input order — and merges their metrics into the session
-    registry. *)
+(** Appends captured cells to the session; callers pass the array in
+    cell input order. *)
 
 val cells : unit -> cell list
 (** All recorded cells, in recorded order. *)
 
 val processes : unit -> Armvirt_obs.Export.process list
 (** The recorded cells as exporter input: [pid] = record index. *)
-
-val metrics : unit -> Armvirt_obs.Metrics.t
-(** The session-wide merged registry (includes per-cell metrics plus
-    memo counters). *)
-
-val note_memo_hit : unit -> unit
-val note_memo_miss : unit -> unit
-(** Called by {!Runner.Memo} so cache behaviour lands in {!metrics} as
-    [runner_memo_hits_total] / [runner_memo_misses_total]. *)

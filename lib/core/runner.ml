@@ -124,9 +124,7 @@ module Memo = struct
       v
     in
     match cached with
-    | Some v ->
-        Observe.note_memo_hit ();
-        v
+    | Some v -> v
     | None ->
         (* Compute outside the lock: cells are expensive and independent.
            On a concurrent double-compute the first store wins, so every
@@ -142,7 +140,6 @@ module Memo = struct
               v
         in
         Mutex.unlock t.lock;
-        Observe.note_memo_miss ();
         stored
 
   let clear t =

@@ -111,33 +111,38 @@ let positive name x =
   if x <= 0.0 then invalid_arg (Printf.sprintf "Config: %s <= 0" name);
   x
 
+(* A cycle cost: a negative one would make Machine.spend raise mid-run. *)
+let cost_knob name doc set =
+  int_knob name doc (fun t n -> set t (at_least name 0 n))
+
 let knobs =
   [
-    int_knob "vgic.save" "VGIC register-class save cost (Table III's 3250)"
+    cost_knob "vgic.save" "VGIC register-class save cost (Table III's 3250)"
       (fun t save ->
         let restore = (vgic_costs t.arm).restore in
         arm t (Cost_model.with_reg_cost Reg_class.Vgic ~save ~restore));
-    int_knob "vgic.restore" "VGIC register-class restore cost (Table III's 181)"
+    cost_knob "vgic.restore" "VGIC register-class restore cost (Table III's 181)"
       (fun t restore ->
         let save = (vgic_costs t.arm).save in
         arm t (Cost_model.with_reg_cost Reg_class.Vgic ~save ~restore));
-    int_knob "trap_to_el2" "hardware trap cost into EL2" (fun t n ->
+    cost_knob "trap_to_el2" "hardware trap cost into EL2" (fun t n ->
         arm t (fun a -> { a with trap_to_el2 = n }));
-    int_knob "eret" "exception return from EL2" (fun t n ->
+    cost_knob "eret" "exception return from EL2" (fun t n ->
         arm t (fun a -> { a with eret = n }));
-    int_knob "hvc_issue" "guest-side HVC issue cost" (fun t n ->
+    cost_knob "hvc_issue" "guest-side HVC issue cost" (fun t n ->
         arm t (fun a -> { a with hvc_issue = n }));
-    int_knob "stage2_toggle" "one Stage-2/trap reconfiguration of HCR_EL2"
+    cost_knob "stage2_toggle" "one Stage-2/trap reconfiguration of HCR_EL2"
       (fun t n -> arm t (fun a -> { a with stage2_toggle = n }));
-    int_knob "vgic_slot_scan" "list-register status scan before injection"
+    cost_knob "vgic_slot_scan" "list-register status scan before injection"
       (fun t n -> arm t (fun a -> { a with vgic_slot_scan = n }));
-    int_knob "vgic_lr_write" "one list-register write" (fun t n ->
+    cost_knob "vgic_lr_write" "one list-register write" (fun t n ->
         arm t (fun a -> { a with vgic_lr_write = n }));
-    int_knob "virq_complete" "trap-free virtual interrupt completion"
+    cost_knob "virq_complete" "trap-free virtual interrupt completion"
       (fun t n -> arm t (fun a -> { a with virq_complete = n }));
-    int_knob "mmio_decode" "Stage-2 abort syndrome decode" (fun t n ->
+    cost_knob "mmio_decode" "Stage-2 abort syndrome decode" (fun t n ->
         arm t (fun a -> { a with mmio_decode = n }));
     float_knob "freq_ghz" "core clock in GHz (float)" (fun t f ->
+        let f = positive "freq_ghz" f in
         arm t (fun a -> { a with freq_ghz = f }));
     bool_knob "vhe" "ARMv8.1 VHE on/off (bool; forced off for xen/native)"
       (fun t b -> arm t (Cost_model.with_vhe b));
@@ -145,13 +150,13 @@ let knobs =
         tuning t (fun u -> { u with H.Kvm_arm.lazy_fp = b }));
     bool_knob "lazy_vgic" "lazy VGIC read-back tuning flag (bool)" (fun t b ->
         tuning t (fun u -> { u with H.Kvm_arm.lazy_vgic = b }));
-    int_knob "host_dispatch" "host-side KVM run-loop cost" (fun t n ->
+    cost_knob "host_dispatch" "host-side KVM run-loop cost" (fun t n ->
         tuning t (fun u -> { u with H.Kvm_arm.host_dispatch = n }));
-    int_knob "vcpu_resume" "blocked-VCPU wakeup cost" (fun t n ->
+    cost_knob "vcpu_resume" "blocked-VCPU wakeup cost" (fun t n ->
         tuning t (fun u -> { u with H.Kvm_arm.vcpu_resume = n }));
-    int_knob "vhost_per_packet" "VHOST backend per-packet cost" (fun t n ->
+    cost_knob "vhost_per_packet" "VHOST backend per-packet cost" (fun t n ->
         tuning t (fun u -> { u with H.Kvm_arm.vhost_per_packet = n }));
-    int_knob "process_switch" "VM-to-VM process switch cost" (fun t n ->
+    cost_knob "process_switch" "VM-to-VM process switch cost" (fun t n ->
         tuning t (fun u -> { u with H.Kvm_arm.process_switch = n }));
     int_knob "lr_count" "GIC list registers available to the VM (int)"
       (fun t n -> { t with num_lrs = at_least "lr_count" 1 n });
@@ -170,7 +175,7 @@ let knobs =
                 (Printf.sprintf "Config: hyp wants kvm|xen|native, got %s"
                    (Space.value_to_string v)));
     };
-    int_knob "stage2_wp_fault"
+    cost_knob "stage2_wp_fault"
       "stage-2 write-protection fault handling cost (dirty logging, \
        distinct from a missing mapping)" (fun t n ->
         arm t (Cost_model.with_stage2_wp_fault n));

@@ -339,6 +339,7 @@ let all =
   ]
 
 let names = List.map (fun o -> o.name) all
+let paper_error o = List.mem o.name [ "hypercall-err"; "table2-err" ]
 
 let find name =
   match List.find_opt (fun o -> o.name = name) all with

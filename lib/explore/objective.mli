@@ -29,5 +29,8 @@ val all : t list
 
 val names : string list
 
+val paper_error : t -> bool
+(** [hypercall-err] and [table2-err]: defined for [hyp=kvm|xen] only. *)
+
 val find : string -> t
 (** Raises [Invalid_argument] with the available names on a miss. *)

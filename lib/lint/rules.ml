@@ -59,8 +59,9 @@ let hint = function
   | R4 -> "route parallelism through Runner.map's deterministic input-order merge"
   | R5 -> "use Float.compare/Float.equal or a named per-type comparator"
   | R6 ->
-      "thread state through a record, or register it in lib/obs/metrics.ml; \
-       audited globals take (* lint: allow R6 <reason> *)"
+      "thread state through a record, or record it in the tracing session \
+       (lib/core/observe.ml); audited globals take (* lint: allow R6 \
+       <reason> *)"
   | R7 -> "emit through Report/Export/Format.fprintf on a caller-supplied formatter"
   | U1 ->
       "convert through a named converter (Cycles.of_us, cycles_per_byte_of_gbps, \
@@ -101,7 +102,7 @@ let explain = function
        a named per-type comparator."
   | R6 ->
       "R6 forbids mutable toplevel state (ref, Hashtbl.create) outside the \
-       designated registries (lib/obs/metrics.ml, lib/core/observe.ml): \
+       designated registry (the tracing session, lib/core/observe.ml): \
        cells must be pure functions of their plan, which is what memoization \
        and parallel execution assume. Audited single-slot hooks take \
        (* lint: allow R6 <reason> *)."
@@ -134,8 +135,8 @@ let explain = function
        worker domains — racy, and invisible to R6's audited-global \
        allowlist. Any identifier inside an argument of Runner.map that \
        resolves to a toplevel ref/Hashtbl/Atomic of the same file is \
-       flagged; the designated registries (which Runner merges \
-       deterministically) are exempt."
+       flagged; the designated registry (the tracing session, whose cells \
+       Runner merges deterministically) is exempt."
 
 (* --- per-rule path scoping ------------------------------------------ *)
 (* Relative paths use '/' separators and are rooted at the repo root. *)
@@ -151,11 +152,11 @@ let rng_module = "lib/engine/rng.ml"
 (* R4: the one module allowed to spawn/join domains. *)
 let runner_module = "lib/core/runner.ml"
 
-(* R6: designated mutable registries. Metrics is the metric/label registry;
-   Observe is the process-wide tracing session (its globals are documented
-   and mutex-protected). D1 exempts the same set: Runner itself merges
-   their contents deterministically. *)
-let registry_modules = [ "lib/obs/metrics.ml"; "lib/core/observe.ml" ]
+(* R6: designated mutable registries. Observe is the process-wide tracing
+   session, an observed run's one record (its globals are documented and
+   mutex-protected). D1 exempts the same set: Runner itself merges its
+   cells deterministically. *)
+let registry_modules = [ "lib/core/observe.ml" ]
 
 let applies ~relpath id =
   match id with

@@ -33,8 +33,8 @@ let parse_label label =
           | _ -> Some (Op { hyp; op = rest }))
       | _ -> Some (Op { hyp; op = rest }))
 
-(* Log2 histograms, same bucket geometry as Metrics.observe: a sample v
-   lands at the smallest power-of-two upper bound >= v. *)
+(* Log2 histograms: a sample v lands at the smallest power-of-two upper
+   bound >= v. *)
 
 type hist = {
   count : int;

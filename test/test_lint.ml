@@ -110,8 +110,8 @@ let test_r6_top_level_state () =
     (lint ~relpath:"lib/gic/x.ml" "let h : int list ref = ref []");
   check_rules "function allocating per call is fine" []
     (lint ~relpath:"lib/gic/x.ml" "let create () = Hashtbl.create 16");
-  check_rules "metrics registry allowlisted" []
-    (lint ~relpath:"lib/obs/metrics.ml" "let reg = Hashtbl.create 16");
+  check_rules "session registry allowlisted" []
+    (lint ~relpath:"lib/core/observe.ml" "let reg = Hashtbl.create 16");
   check_rules "audited global suppressed" []
     (lint ~relpath:"lib/gic/x.ml"
        "(* lint: allow R6 process-wide hook slot *)\nlet hook = ref None")
@@ -215,7 +215,7 @@ let test_d1_capture () =
     (lint ~relpath:"lib/explore/x.ml"
        "let fan xs = Runner.map (fun x -> let acc = ref x in !acc) xs");
   check_rules "registry modules exempt by scoping" []
-    (lint ~rules:[ Rules.D1 ] ~relpath:"lib/obs/metrics.ml"
+    (lint ~rules:[ Rules.D1 ] ~relpath:"lib/core/observe.ml"
        "let reg = Hashtbl.create 16\n\
         let fan xs = Runner.map (fun x -> Hashtbl.hash reg + x) xs")
 

@@ -1,13 +1,15 @@
-(* Tests for Armvirt_obs (ring, spans, tracer, metrics, exporters) and
-   the Observe/Runner tracing glue: golden files for the Chrome and
-   Prometheus formats, histogram bucket boundaries, export determinism
-   across --jobs levels, and the traced-off = seed invariant. *)
+(* Tests for Armvirt_obs (ring, spans, tracer, exporters) and the
+   Observe/Runner tracing glue: a golden file for the Chrome format,
+   exit-latency histogram buckets, export determinism across --jobs
+   levels, and the traced-off = seed invariant. *)
 
 module Ring = Armvirt_obs.Ring
 module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
-module Metrics = Armvirt_obs.Metrics
 module Export = Armvirt_obs.Export
+module Accounting = Armvirt_obs.Accounting
+module Marker = Armvirt_arch.Marker
+module Esr = Armvirt_arch.Esr
 module Observe = Armvirt_core.Observe
 module Runner = Armvirt_core.Runner
 module Platform = Armvirt_core.Platform
@@ -182,171 +184,56 @@ let test_trace_by_label_tie_break () =
   Alcotest.(check (list string)) "ties sorted by label"
     [ "alpha"; "mid"; "zeta" ] rows
 
-(* --- Metrics: histogram bucket boundaries -------------------------- *)
+(* --- Exit-latency histograms ---------------------------------------- *)
 
-let hist_buckets m name =
-  match Metrics.histogram m name with
-  | Some h -> h.Metrics.buckets
-  | None -> Alcotest.fail "histogram missing"
+(* Accounting's log2 histograms are the one histogram type left. Each
+   [Some l] is an hvc exit re-entered [l] cycles later on PCPU 0's cpu
+   track; [None] is an exit that never re-enters. [None] when the trace
+   has no exit at all. *)
+let latency_hist lats =
+  let marker ts (m : Marker.t) =
+    let name = (m :> string) in
+    { Span.ts; track = "cpu"; cat = Span.of_label name; name; kind = Span.Instant }
+  in
+  let exit_ = Marker.exit ~hyp:"kvm_arm" ~reason:Esr.Hvc64 ~pcpu:0 in
+  let entry = Marker.entry ~hyp:"kvm_arm" ~pcpu:0 () in
+  let _, events =
+    List.fold_left
+      (fun (t, acc) -> function
+        | None -> (t + 1, marker t exit_ :: acc)
+        | Some l -> (t + l + 1, marker (t + l) entry :: marker t exit_ :: acc))
+      (0, []) lats
+  in
+  let p = { Export.pid = 0; name = "h"; events = List.rev events; dropped = 0 } in
+  match (Accounting.of_processes [ p ]).Accounting.vms with
+  | [] -> None
+  | [ { Accounting.exits = [ (_, _, h) ]; _ } ] -> Some h
+  | _ -> Alcotest.fail "expected one machine with one exit reason"
 
-let test_histogram_boundaries () =
-  let m = Metrics.create () in
-  (* Exactly on a power of two stays in that bucket; the next
-     representable float above spills into the next one. *)
-  Metrics.observe m "h" 1.0;
-  Metrics.observe m "h" 2.0;
-  Metrics.observe m "h" (Float.succ 2.0);
-  Metrics.observe m "h" 1024.0;
-  Metrics.observe m "h" 1025.0;
-  Metrics.observe m "h" 0.0;
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "bucket assignment"
-    [ (1.0, 2); (2.0, 1); (4.0, 1); (1024.0, 1); (2048.0, 1) ]
-    (hist_buckets m "h");
-  (match Metrics.histogram m "h" with
-  | Some h ->
-      Alcotest.(check int) "count" 6 h.Metrics.count;
-      Alcotest.(check (float 1e-9)) "sum" 2054.0 h.Metrics.sum
-  | None -> Alcotest.fail "histogram missing");
-  Alcotest.check_raises "negative observation"
-    (Invalid_argument "Metrics.observe: negative observation") (fun () ->
-      Metrics.observe m "h" (-1.0))
-
-let test_histogram_huge_values_saturate () =
-  let m = Metrics.create () in
-  Metrics.observe m "h" 1e30;
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "top bucket" [ (4.611686018427387904e18, 1) ] (hist_buckets m "h")
-
-(* The registry's histograms are the one histogram type left: a
-   rejected observation leaves no trace, and every accepted one lands in
-   exactly one bucket. *)
+(* An exit that never re-enters is counted but leaves no latency sample;
+   a latency exactly on a power of two stays in that bucket, one more
+   spills into the next. *)
 let test_histogram_errors () =
-  let m = Metrics.create () in
-  Metrics.observe m "h" 3.0;
-  Alcotest.check_raises "negative observation"
-    (Invalid_argument "Metrics.observe: negative observation") (fun () ->
-      Metrics.observe m "h" (-0.5));
-  match Metrics.histogram m "h" with
-  | Some h ->
-      Alcotest.(check int) "rejected value not counted" 1 h.Metrics.count;
-      Alcotest.(check (float 0.0)) "nor summed" 3.0 h.Metrics.sum
+  match latency_hist [ Some 3; None; Some 1024; Some 1025; Some 0 ] with
   | None -> Alcotest.fail "histogram missing"
+  | Some h ->
+      Alcotest.(check int) "unpaired exit not sampled" 4 h.Accounting.count;
+      Alcotest.(check int) "nor summed" 2052 h.Accounting.sum;
+      Alcotest.(check (list (pair int int)))
+        "bucket assignment"
+        [ (1, 1); (4, 1); (1024, 1); (2048, 1) ]
+        h.Accounting.buckets
 
 let prop_histogram_total =
   QCheck.Test.make ~name:"histogram count equals additions"
-    QCheck.(list (float_bound_inclusive 1e6))
-    (fun values ->
-      let m = Metrics.create () in
-      List.iter (Metrics.observe m "h") values;
-      match Metrics.histogram m "h" with
-      | None -> values = []
+    QCheck.(list small_nat)
+    (fun lats ->
+      match latency_hist (List.map Option.some lats) with
+      | None -> lats = []
       | Some h ->
-          h.Metrics.count = List.length values
-          && List.fold_left (fun acc (_, n) -> acc + n) 0 h.Metrics.buckets
-             = List.length values)
-
-(* --- Metrics: counters, gauges, merge ------------------------------ *)
-
-let test_counters_and_gauges () =
-  let m = Metrics.create () in
-  Metrics.incr m "c";
-  Metrics.incr m ~by:4 "c";
-  Metrics.incr m ~labels:[ ("k", "v") ] "c";
-  Alcotest.(check int) "unlabelled" 5 (Metrics.counter_value m "c");
-  Alcotest.(check int) "labelled" 1
-    (Metrics.counter_value m ~labels:[ ("k", "v") ] "c");
-  Alcotest.(check int) "absent" 0 (Metrics.counter_value m "nope");
-  Metrics.set_gauge m "g" 1.5;
-  Metrics.set_gauge m "g" 2.5;
-  Alcotest.(check (option (float 1e-9))) "last write wins" (Some 2.5)
-    (Metrics.gauge_value m "g");
-  Alcotest.(check (list string)) "names" [ "c"; "g" ] (Metrics.names m)
-
-let test_merge () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr a ~by:2 "c";
-  Metrics.incr b ~by:3 "c";
-  Metrics.set_gauge b "g" 7.0;
-  Metrics.observe a "h" 1.0;
-  Metrics.observe b "h" 3.0;
-  Metrics.merge_into ~dst:a b;
-  Alcotest.(check int) "counters add" 5 (Metrics.counter_value a "c");
-  Alcotest.(check (option (float 1e-9))) "gauge overwrites" (Some 7.0)
-    (Metrics.gauge_value a "g");
-  match Metrics.histogram a "h" with
-  | Some h ->
-      Alcotest.(check int) "histogram counts add" 2 h.Metrics.count;
-      Alcotest.(check (float 1e-9)) "sums add" 4.0 h.Metrics.sum
-  | None -> Alcotest.fail "histogram missing"
-
-(* --- Golden: Prometheus text format -------------------------------- *)
-
-let sample_registry () =
-  let m = Metrics.create () in
-  (* Labels deliberately inserted in non-alphabetical order: rendering
-     must sort them. *)
-  Metrics.incr m ~by:7 ~labels:[ ("hyp", "kvm"); ("arch", "arm") ] "traps";
-  Metrics.incr m ~by:2 ~labels:[ ("arch", "x86"); ("hyp", "kvm") ] "traps";
-  Metrics.set_gauge m "depth" 3.0;
-  Metrics.observe m "wait" 1.0;
-  Metrics.observe m "wait" 5.0;
-  m
-
-let prometheus_golden =
-  "# TYPE traps counter\n\
-   traps{arch=\"arm\",hyp=\"kvm\"} 7\n\
-   traps{arch=\"x86\",hyp=\"kvm\"} 2\n\
-   # TYPE depth gauge\n\
-   depth 3.0\n\
-   # TYPE wait histogram\n\
-   wait_bucket{le=\"1\"} 1\n\
-   wait_bucket{le=\"2\"} 1\n\
-   wait_bucket{le=\"4\"} 1\n\
-   wait_bucket{le=\"8\"} 2\n\
-   wait_bucket{le=\"+Inf\"} 2\n\
-   wait_sum 6.0\n\
-   wait_count 2\n"
-
-let test_prometheus_golden () =
-  Alcotest.(check string) "prometheus output"
-    prometheus_golden
-    (Format.asprintf "%a" Metrics.pp_prometheus (sample_registry ()))
-
-let test_prometheus_label_order_irrelevant () =
-  let flipped = Metrics.create () in
-  Metrics.incr flipped ~by:2 ~labels:[ ("hyp", "kvm"); ("arch", "x86") ] "traps";
-  Metrics.incr flipped ~by:7 ~labels:[ ("arch", "arm"); ("hyp", "kvm") ] "traps";
-  Metrics.set_gauge flipped "depth" 3.0;
-  Metrics.observe flipped "wait" 5.0;
-  Metrics.observe flipped "wait" 1.0;
-  Alcotest.(check string) "insertion order leaks nowhere"
-    (Format.asprintf "%a" Metrics.pp_prometheus (sample_registry ()))
-    (Format.asprintf "%a" Metrics.pp_prometheus flipped)
-
-let test_label_value_order_canonical () =
-  (* Regression for the explicit per-pair label comparator: families with
-     several label values render in value order, whatever the insertion
-     order was. *)
-  let render m = Format.asprintf "%a" Metrics.pp_prometheus m in
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr a ~labels:[ ("k", "beta") ] "x_total";
-  Metrics.incr a ~labels:[ ("k", "alpha") ] "x_total";
-  Metrics.incr b ~labels:[ ("k", "alpha") ] "x_total";
-  Metrics.incr b ~labels:[ ("k", "beta") ] "x_total";
-  Alcotest.(check string) "insertion order invisible" (render a) (render b);
-  let rendered = render a in
-  Alcotest.(check bool) "alpha renders before beta" true
-    (let find sub =
-       let n = String.length sub in
-       let rec go i =
-         if i + n > String.length rendered then -1
-         else if String.sub rendered i n = sub then i
-         else go (i + 1)
-       in
-       go 0
-     in
-     find {|"alpha"|} < find {|"beta"|} && find {|"alpha"|} >= 0)
+          h.Accounting.count = List.length lats
+          && List.fold_left (fun acc (_, n) -> acc + n) 0 h.Accounting.buckets
+             = List.length lats)
 
 (* --- Golden: Chrome trace JSON ------------------------------------- *)
 
@@ -488,19 +375,6 @@ let test_cell_labels_in_input_order () =
         [ "lbl#0.0"; "lbl#0.1"; "lbl#0.2" ]
         labels)
 
-let test_memo_metrics () =
-  Observe.enable ~context:"memo" ();
-  Fun.protect ~finally:Observe.disable (fun () ->
-      let tbl = Runner.Memo.create () in
-      let key = Runner.Key.v ~platform:"arm" () in
-      ignore (Runner.Memo.find_or_compute tbl key (fun () -> 1));
-      ignore (Runner.Memo.find_or_compute tbl key (fun () -> 2));
-      let m = Observe.metrics () in
-      Alcotest.(check int) "one miss" 1
-        (Metrics.counter_value m "runner_memo_misses_total");
-      Alcotest.(check int) "one hit" 1
-        (Metrics.counter_value m "runner_memo_hits_total"))
-
 (* --- No-observer overhead: traced-off runs match the seed ----------- *)
 
 let test_tracing_does_not_change_results () =
@@ -607,21 +481,6 @@ let () =
       ( "histogram",
         [ Alcotest.test_case "errors" `Quick test_histogram_errors ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_histogram_total ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "histogram boundaries" `Quick
-            test_histogram_boundaries;
-          Alcotest.test_case "huge values saturate" `Quick
-            test_histogram_huge_values_saturate;
-          Alcotest.test_case "counters and gauges" `Quick
-            test_counters_and_gauges;
-          Alcotest.test_case "merge" `Quick test_merge;
-          Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
-          Alcotest.test_case "label order irrelevant" `Quick
-            test_prometheus_label_order_irrelevant;
-          Alcotest.test_case "label value order canonical" `Quick
-            test_label_value_order_canonical;
-        ] );
       ( "export",
         [
           Alcotest.test_case "chrome golden" `Quick test_chrome_golden;
@@ -634,7 +493,6 @@ let () =
             test_export_deterministic_across_jobs;
           Alcotest.test_case "cell labels in input order" `Quick
             test_cell_labels_in_input_order;
-          Alcotest.test_case "memo metrics" `Quick test_memo_metrics;
           Alcotest.test_case "tracing does not change results" `Quick
             test_tracing_does_not_change_results;
           Alcotest.test_case "mailbox depth value events" `Quick

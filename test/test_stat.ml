@@ -16,6 +16,9 @@ module Stat_report = Armvirt_core.Stat_report
 module W = Armvirt_workloads
 module Marker = Armvirt_arch.Marker
 module Esr = Armvirt_arch.Esr
+module Machine = Armvirt_arch.Machine
+module Hypervisor = Armvirt_hypervisor.Hypervisor
+module Counter = Armvirt_stats.Counter
 
 let label (m : Marker.t) = (m :> string)
 
@@ -437,6 +440,55 @@ let test_jobs_invariance () =
   Alcotest.(check bool) "non-empty" true (String.length a > 0);
   Alcotest.(check string) "stat JSON byte-identical at --jobs 1 vs 4" a b
 
+(* --- conservation: guest + hypervisor cycles = total ----------------- *)
+
+(* The trace is an observed run's one record, so it must account for
+   every cycle the machine spent: on each of the five models, for a
+   microbenchmark suite and a TCP_RR run, the guest and hypervisor lanes
+   sum to the machine's cycle counter and the cell drops no event. *)
+let test_cycle_conservation () =
+  let models =
+    [
+      (Platform.Arm_m400, Platform.Kvm);
+      (Platform.Arm_m400, Platform.Xen);
+      (Platform.Arm_m400_vhe, Platform.Kvm);
+      (Platform.X86_r320, Platform.Kvm);
+      (Platform.X86_r320, Platform.Xen);
+    ]
+  in
+  let runs =
+    [
+      ("micro", fun h -> ignore (W.Microbench.run ~iterations:4 h));
+      ("rr", fun h -> ignore (W.Netperf.run_tcp_rr ~transactions:40 h));
+    ]
+  in
+  List.iter
+    (fun (platform, hyp) ->
+      List.iter
+        (fun (name, run) ->
+          Observe.enable ~context:name ();
+          let h, cell =
+            Fun.protect ~finally:Observe.disable (fun () ->
+                Observe.capture ~label:name (fun () ->
+                    let h = Platform.hypervisor platform hyp in
+                    run h;
+                    h))
+          in
+          let what = Printf.sprintf "%s on %s" name h.Hypervisor.name in
+          match cell with
+          | None -> Alcotest.failf "%s: no cell recorded" what
+          | Some c ->
+              let acct =
+                Accounting.of_processes
+                  [ { Export.pid = 0; name; events = c.Observe.events; dropped = 0 } ]
+              in
+              Alcotest.(check int) (what ^ ": no dropped events") 0 c.Observe.dropped;
+              Alcotest.(check int) (what ^ ": guest + hypervisor = total")
+                (Counter.get (Machine.counters h.Hypervisor.machine) "cycles")
+                (acct.Accounting.total_guest + acct.Accounting.total_hyp))
+        runs)
+    models
+
 (* --- trace-vs-analytic crosscheck ------------------------------------ *)
 
 let test_crosscheck () =
@@ -645,6 +697,8 @@ let () =
             test_jobs_invariance;
           Alcotest.test_case "crosscheck vs analytic model" `Slow
             test_crosscheck;
+          Alcotest.test_case "guest + hypervisor = total cycles" `Quick
+            test_cycle_conservation;
         ] );
       ("diff", [ Alcotest.test_case "thresholded diff" `Quick test_diff ]);
       ( "codec",
